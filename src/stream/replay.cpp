@@ -6,48 +6,13 @@
 
 #include "exec/parallel.hpp"
 #include "stream/shutdown.hpp"
+#include "trace/google_format.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
-#include "util/error.hpp"
 
 namespace cgc::stream {
 
 namespace {
-
-constexpr std::int64_t kMicrosPerSecond = 1'000'000;
-
-/// clusterdata event code → TaskEventType; nullopt for unknown codes.
-bool event_from_code(std::int64_t code, trace::TaskEventType* out) {
-  switch (code) {
-    case 0:
-      *out = trace::TaskEventType::kSubmit;
-      return true;
-    case 1:
-      *out = trace::TaskEventType::kSchedule;
-      return true;
-    case 2:
-      *out = trace::TaskEventType::kEvict;
-      return true;
-    case 3:
-      *out = trace::TaskEventType::kFail;
-      return true;
-    case 4:
-      *out = trace::TaskEventType::kFinish;
-      return true;
-    case 5:
-      *out = trace::TaskEventType::kKill;
-      return true;
-    case 6:
-      *out = trace::TaskEventType::kLost;
-      return true;
-    case 7:
-    case 8:  // UPDATE_PENDING / UPDATE_RUNNING
-      *out = trace::TaskEventType::kUpdate;
-      return true;
-    default:
-      return false;
-  }
-}
 
 /// Stream sort order: time, then stable identity, then lifecycle order
 /// (SUBMIT < SCHEDULE < terminals) so a task's same-second events
@@ -101,31 +66,7 @@ std::vector<trace::TaskEvent> synthesize_events(
 
 bool parse_google_event_line(std::string_view line,
                              trace::TaskEvent* event) {
-  CGC_CHECK(event != nullptr);
-  static thread_local std::vector<std::string_view> fields;
-  util::split_fields(line, ',', &fields);
-  if (fields.size() < 9) {
-    return false;
-  }
-  try {
-    trace::TaskEvent e;
-    e.time = util::parse_int(fields[0]) / kMicrosPerSecond;
-    e.job_id = util::parse_int(fields[2]);
-    e.task_index = static_cast<std::int32_t>(util::parse_int(fields[3]));
-    e.machine_id = fields[4].empty() ? -1 : util::parse_int(fields[4]);
-    if (!event_from_code(util::parse_int(fields[5]), &e.type)) {
-      return false;
-    }
-    const std::int64_t file_priority = util::parse_int(fields[8]);
-    if (file_priority < 0 || file_priority >= trace::kNumPriorities) {
-      return false;
-    }
-    e.priority = static_cast<std::uint8_t>(file_priority + 1);
-    *event = e;
-    return true;
-  } catch (const util::Error&) {
-    return false;
-  }
+  return trace::parse_task_event_row(line, event);
 }
 
 std::uint64_t read_event_stream(
@@ -136,13 +77,14 @@ std::uint64_t read_event_stream(
   std::uint64_t delivered = 0;
   std::vector<trace::TaskEvent> batch;
   batch.reserve(batch_size);
-  std::string line;
-  while (!shutdown_requested() && std::getline(in, line)) {
+  util::LineReader lines(in);
+  std::string_view line;
+  while (!shutdown_requested() && lines.next(&line)) {
     if (line.empty() || line[0] == '#') {
       continue;
     }
     trace::TaskEvent event;
-    if (!parse_google_event_line(line, &event)) {
+    if (!trace::parse_task_event_row(line, &event)) {
       if (health != nullptr) {
         ++health->parse_bad_lines;
       }

@@ -8,9 +8,9 @@
 //     has one and otherwise reconstructs the SUBMIT/SCHEDULE/terminal
 //     triple per task record (generator workloads carry tasks but no
 //     event rows);
-//   * a pipe of Google clusterdata task_events rows on stdin — parsed
-//     line by line, malformed rows counted into StreamHealth and never
-//     fatal.
+//   * a pipe of Google clusterdata task_events rows on stdin — read in
+//     blocks, parsed row by row with the trace reader's row grammar,
+//     malformed rows counted into StreamHealth and never fatal.
 #pragma once
 
 #include <cstdint>
@@ -34,18 +34,23 @@ namespace cgc::stream {
 /// traces with evictions.
 std::vector<trace::TaskEvent> synthesize_events(const trace::TraceSet& trace);
 
-/// Parses one Google clusterdata task_events row (13 columns: time in
-/// microseconds, event codes 0-8, file priorities 0-11 shifted to the
-/// paper's 1-12). Returns false and leaves *event unspecified on a
-/// malformed row. Never throws.
+/// Parses one Google clusterdata task_events row (13 columns, of which
+/// the first 9 are read: time in microseconds, event codes 0-8, file
+/// priorities 0-11 shifted to the paper's 1-12). Returns false and
+/// leaves *event unspecified on a malformed row. Never throws. The
+/// grammar is trace::parse_task_event_row's, shared with the trace-file
+/// reader; the line is taken as is (a trailing '\r' is data).
 bool parse_google_event_line(std::string_view line, trace::TaskEvent* event);
 
 /// Streams Google-format task-event rows from `in` (typically a pipe),
-/// delivering batches of up to `batch_size` events to `sink`. Malformed
-/// rows are skipped and counted into health->parse_bad_lines (never
-/// fatal — the daemon's degraded-ingest contract). Stops early (after
-/// delivering the partial batch) once shutdown_requested() is up, so a
-/// SIGTERM'd daemon can spill the open window and exit. Returns the
+/// delivering batches of up to `batch_size` events to `sink`. Lines are
+/// framed by util::LineReader (1 MiB blocks, std::getline's rules: '\r'
+/// is kept, an unterminated last line counts); empty lines and lines
+/// starting with '#' are skipped. Malformed rows are skipped and counted
+/// into health->parse_bad_lines (never fatal — the daemon's degraded-
+/// ingest contract). shutdown_requested() is polled before every line:
+/// once it is up, the partial batch is delivered and reading stops, so
+/// a SIGTERM'd daemon can spill the open window and exit. Returns the
 /// number of events delivered.
 std::uint64_t read_event_stream(
     std::istream& in, std::size_t batch_size,

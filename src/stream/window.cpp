@@ -465,9 +465,9 @@ void SlidingWindow::apply_sequential(const trace::TaskEvent& event) {
   switch (event.type) {
     case trace::TaskEventType::kSubmit: {
       ++pending_;
-      auto [it, inserted] = jobs_.try_emplace(event.job_id);
+      auto [job, inserted] = jobs_.try_emplace(event.job_id);
       if (inserted) {
-        it->second.first_submit = t;
+        job->first_submit = t;
         if (last_job_submit_ >= 0) {
           const auto gap = static_cast<double>(
               std::max<TimeSec>(0, t - last_job_submit_));
@@ -483,7 +483,7 @@ void SlidingWindow::apply_sequential(const trace::TaskEvent& event) {
         }
         last_job_submit_ = t;
       }
-      ++it->second.live;
+      ++job->live;
       break;
     }
     case trace::TaskEventType::kSchedule: {
@@ -498,30 +498,30 @@ void SlidingWindow::apply_sequential(const trace::TaskEvent& event) {
     case trace::TaskEventType::kUpdate:
       break;
     default: {  // terminal: EVICT/FAIL/FINISH/KILL/LOST
-      const auto it = running_tasks_.find(task_key(event));
-      if (it != running_tasks_.end()) {
+      const std::uint64_t key = task_key(event);
+      if (const TaskRun* found = running_tasks_.find(key)) {
+        const TaskRun run = *found;
+        running_tasks_.erase(key);
         running_ = std::max<std::int64_t>(0, running_ - 1);
         add_sample_to_windows(
             t, &WindowStats::task_length,
-            static_cast<double>(
-                std::max<TimeSec>(0, t - it->second.schedule_time)));
-        if (it->second.machine_id >= 0) {
-          auto host = host_running_.find(it->second.machine_id);
-          if (host != host_running_.end() && host->second > 0) {
-            --host->second;
+            static_cast<double>(std::max<TimeSec>(0, t - run.schedule_time)));
+        if (run.machine_id >= 0) {
+          std::int64_t* host = host_running_.find(run.machine_id);
+          if (host != nullptr && *host > 0) {
+            --*host;
           }
         }
-        running_tasks_.erase(it);
       } else {
         // Terminal without a live placement: the task died from pending
         // (or its SCHEDULE was lost); no run-duration sample.
         pending_ = std::max<std::int64_t>(0, pending_ - 1);
       }
-      auto job = jobs_.find(event.job_id);
-      if (job != jobs_.end() && job->second.live > 0) {
-        if (--job->second.live == 0) {
+      JobState* job = jobs_.find(event.job_id);
+      if (job != nullptr && job->live > 0) {
+        if (--job->live == 0) {
           const auto length = static_cast<double>(
-              std::max<TimeSec>(0, t - job->second.first_submit));
+              std::max<TimeSec>(0, t - job->first_submit));
           const std::int64_t last = window_of(t);
           for (std::int64_t w = first_window_of(t); w <= last; ++w) {
             if (any_open_ && w < first_open_index_) {
@@ -563,15 +563,17 @@ void SlidingWindow::close_oldest() {
   ws.pending_at_close = pending_;
   ws.running_at_close = running_;
   std::int64_t hosts = 0;
-  for (auto it = host_running_.begin(); it != host_running_.end();) {
-    if (it->second > 0) {
+  // cgc-lint: allow(unordered-iteration) StreamingEcdf::add_n commutes —
+  // integer bucket counts plus exact min/max — so the table's slot order
+  // cannot reach the window state.
+  for (const auto& [machine, running] : host_running_) {
+    if (running > 0) {
       ++hosts;
-      ws.host_load.add_n(static_cast<double>(it->second), 1);
-      ++it;
-    } else {
-      it = host_running_.erase(it);  // prune idle hosts as we go
+      ws.host_load.add_n(static_cast<double>(running), 1);
     }
   }
+  host_running_.erase_if(
+      [](std::int64_t, std::int64_t running) { return running <= 0; });
   ws.hosts_seen = hosts;
   ws.closed = true;
 

@@ -38,9 +38,9 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "stream/flat_hash_map.hpp"
 #include "stream/sketch.hpp"
 #include "trace/types.hpp"
 #include "util/time_util.hpp"
@@ -213,10 +213,12 @@ class SlidingWindow {
   std::uint64_t windows_closed_ = 0;
   StreamHealth health_;
 
-  // Stream state machine (sequential phase).
-  std::unordered_map<std::int64_t, JobState> jobs_;
-  std::unordered_map<std::uint64_t, TaskRun> running_tasks_;
-  std::unordered_map<std::int64_t, std::int64_t> host_running_;
+  // Stream state machine (sequential phase). Jobs are never forgotten
+  // (a later SUBMIT of a finished job is not a new job); running tasks
+  // leave at their terminal event; idle hosts are pruned at window close.
+  FlatHashMap<std::int64_t, JobState> jobs_;
+  FlatHashMap<std::uint64_t, TaskRun> running_tasks_;
+  FlatHashMap<std::int64_t, std::int64_t> host_running_;
   std::int64_t pending_ = 0;
   std::int64_t running_ = 0;
   TimeSec last_job_submit_ = -1;

@@ -36,34 +36,147 @@ int event_code(TaskEventType e) {
   return -1;
 }
 
-TaskEventType event_from_code(std::int64_t code) {
+/// clusterdata event code → TaskEventType; false for unknown codes.
+bool event_from_code(std::int64_t code, TaskEventType* out) {
   switch (code) {
     case 0:
-      return TaskEventType::kSubmit;
+      *out = TaskEventType::kSubmit;
+      return true;
     case 1:
-      return TaskEventType::kSchedule;
+      *out = TaskEventType::kSchedule;
+      return true;
     case 2:
-      return TaskEventType::kEvict;
+      *out = TaskEventType::kEvict;
+      return true;
     case 3:
-      return TaskEventType::kFail;
+      *out = TaskEventType::kFail;
+      return true;
     case 4:
-      return TaskEventType::kFinish;
+      *out = TaskEventType::kFinish;
+      return true;
     case 5:
-      return TaskEventType::kKill;
+      *out = TaskEventType::kKill;
+      return true;
     case 6:
-      return TaskEventType::kLost;
+      *out = TaskEventType::kLost;
+      return true;
     case 7:
     case 8:  // UPDATE_PENDING / UPDATE_RUNNING both map to kUpdate
-      return TaskEventType::kUpdate;
+      *out = TaskEventType::kUpdate;
+      return true;
     default:
-      CGC_CHECK_MSG(false, "unknown task event code " + std::to_string(code));
-      return TaskEventType::kSubmit;
+      return false;
   }
 }
 
 constexpr std::int64_t kMicrosPerSecond = 1'000'000;
+constexpr std::size_t kTaskEventColumns = 9;  ///< columns the parser reads
+
+/// Walks a row's comma-separated columns front to back.
+class ColumnCursor {
+ public:
+  explicit ColumnCursor(std::string_view row)
+      : p_(row.data()), end_(row.data() + row.size()) {}
+
+  /// The next column; false once the row has none left.
+  bool next(std::string_view* column) {
+    if (done_) {
+      return false;
+    }
+    const char* const start = p_;
+    while (p_ != end_ && *p_ != ',') {
+      ++p_;
+    }
+    *column = std::string_view(start, static_cast<std::size_t>(p_ - start));
+    if (p_ == end_) {
+      done_ = true;
+    } else {
+      ++p_;
+    }
+    ++taken_;
+    return true;
+  }
+
+  /// True when the row has at least `n` columns (consumes up to them).
+  bool at_least(std::size_t n) {
+    std::string_view ignored;
+    while (taken_ < n && next(&ignored)) {
+    }
+    return taken_ >= n;
+  }
+
+ private:
+  const char* p_;
+  const char* const end_;
+  std::size_t taken_ = 0;
+  bool done_ = false;
+};
 
 }  // namespace
+
+bool parse_task_event_row(std::string_view row, TaskEvent* event,
+                          std::string* error) {
+  CGC_CHECK(event != nullptr);
+  ColumnCursor cursor(row);
+  std::string_view column;
+  std::int64_t value = 0;
+  // A short row is reported as short whatever failed first; the reason
+  // string is only built when the caller asked for it.
+  const auto reject = [&](const auto& reason) {
+    if (error != nullptr) {
+      *error = cursor.at_least(kTaskEventColumns)
+                   ? std::string(reason())
+                   : "task_events row too short (truncated record?)";
+    }
+    return false;
+  };
+  const auto bad_integer = [&] {
+    return "bad integer field: '" + std::string(column) + "'";
+  };
+  const auto next_int = [&] {
+    return cursor.next(&column) && util::try_parse_int(column, &value);
+  };
+
+  // Columns: 0 time(us), 1 missing_info, 2 job_id, 3 task_index,
+  // 4 machine_id, 5 event_type, 6 user, 7 scheduling_class, 8 priority.
+  if (!next_int()) {
+    return reject(bad_integer);
+  }
+  event->time = value / kMicrosPerSecond;
+  if (!cursor.next(&column) || !next_int()) {
+    return reject(bad_integer);
+  }
+  event->job_id = value;
+  if (!next_int()) {
+    return reject(bad_integer);
+  }
+  event->task_index = static_cast<std::int32_t>(value);
+  if (!cursor.next(&column)) {
+    return reject(bad_integer);
+  }
+  if (column.empty()) {
+    event->machine_id = -1;
+  } else if (util::try_parse_int(column, &value)) {
+    event->machine_id = value;
+  } else {
+    return reject(bad_integer);
+  }
+  if (!next_int()) {
+    return reject(bad_integer);
+  }
+  if (!event_from_code(value, &event->type)) {
+    return reject(
+        [&] { return "unknown task event code " + std::to_string(value); });
+  }
+  if (!cursor.next(&column) || !cursor.next(&column) || !next_int()) {
+    return reject(bad_integer);
+  }
+  if (value < 0 || value >= kNumPriorities) {
+    return reject([] { return "priority out of range"; });
+  }
+  event->priority = static_cast<std::uint8_t>(value + 1);
+  return true;
+}
 
 void write_task_events(const TraceSet& trace, const std::string& path) {
   util::CsvWriter out(path);
@@ -135,7 +248,8 @@ namespace {
 void read_task_events(const std::string& path, TraceSet* trace,
                       const ParseOptions& options, ParseReport* report) {
   util::CsvReader in(path);
-  while (in.next_record()) {
+  std::string what;
+  while (in.next_line()) {
     if (fault::armed()) {
       // I/O failures are not a property of the record, so they bypass
       // tolerant accounting and propagate even in tolerant mode.
@@ -146,29 +260,20 @@ void read_task_events(const std::string& path, TraceSet* trace,
       if (fault::armed()) {
         fault::maybe_throw("trace.parse_line", in.line_number());
       }
-      const auto& f = in.fields();
-      CGC_CHECK_MSG(f.size() >= 9,
-                    "task_events row too short (truncated record?)");
       TaskEvent e;
-      e.time = util::parse_int(f[0]) / kMicrosPerSecond;
-      e.job_id = util::parse_int(f[2]);
-      e.task_index = static_cast<std::int32_t>(util::parse_int(f[3]));
-      e.machine_id = f[4].empty() ? -1 : util::parse_int(f[4]);
-      e.type = event_from_code(util::parse_int(f[5]));
-      const std::int64_t file_priority = util::parse_int(f[8]);
-      CGC_CHECK_MSG(file_priority >= 0 && file_priority < kNumPriorities,
-                    "priority out of range");
-      e.priority = static_cast<std::uint8_t>(file_priority + 1);
-      trace->add_event(e);
-      if (report != nullptr) {
-        ++report->records_ok;
+      if (parse_task_event_row(in.line(), &e, &what)) {
+        trace->add_event(e);
+        if (report != nullptr) {
+          ++report->records_ok;
+        }
+        continue;
       }
     } catch (const util::TransientError&) {
       throw;  // an I/O-class failure, not a bad record
     } catch (const util::Error& e) {
-      detail::handle_bad_line(options, report, path, in.line_number(),
-                              e.what());
+      what = e.what();
     }
+    detail::handle_bad_line(options, report, path, in.line_number(), what);
   }
 }
 

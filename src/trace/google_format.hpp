@@ -25,6 +25,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "trace/parse_report.hpp"
 #include "trace/trace_set.hpp"
@@ -39,6 +40,24 @@ TraceSet read_google_trace_impl(const std::string& directory,
                                 const ParseOptions& options,
                                 ParseReport* report);
 }  // namespace detail
+
+/// Parses one task_events row in a single forward pass over its first 9
+/// columns — the one row grammar behind both the trace-file reader and
+/// the cgcd pipe (stream::parse_google_event_line). Time is divided from
+/// microseconds to seconds, event codes 0-8 map to TaskEventType (7 and
+/// 8 to kUpdate), file priorities 0-11 shift to 1-12, and an empty
+/// machine column means -1. Integer columns accept exactly what
+/// util::parse_int accepts. The row is taken as is: a '\r' before the
+/// line end belongs to the last column.
+///
+/// Returns false on a malformed row, leaving *event unspecified; when
+/// `error` is given it receives the reason: "task_events row too short
+/// (truncated record?)" (checked first, whatever the columns hold), or
+/// for the first bad column in order "bad integer field: '<text>'",
+/// "unknown task event code <n>" or "priority out of range". Never
+/// throws.
+bool parse_task_event_row(std::string_view row, TaskEvent* event,
+                          std::string* error = nullptr);
 
 /// Writes trace.events() in clusterdata task_events layout.
 void write_task_events(const TraceSet& trace, const std::string& path);

@@ -9,7 +9,8 @@ fault/metric site registry and the public-header docs gate, into
 lint-time errors:
 
   nondeterminism       banned wall-clock/PRNG/pointer-order constructs
-  unordered-iteration  range-for over std::unordered_{map,set} values
+  unordered-iteration  range-for over std::unordered_{map,set} or
+                       stream::FlatHashMap values
   site-registry        fault/metric site strings: code <-> README table
                        <-> DESIGN.md <-> at least one test, both ways
   exit-taxonomy        exit codes outside 0..3, raw `throw std::...`
@@ -214,8 +215,8 @@ def check_nondeterminism(files, cache, findings):
 # --------------------------------------------------------------------
 
 UNORDERED_DECL_RE = re.compile(
-    r"\bunordered_(?:map|set|multimap|multiset)\s*<[^;{}]*?>\s*&?\s*"
-    r"(\w+)\s*(?:[;={(]|CGC_GUARDED_BY)")
+    r"\b(?:unordered_(?:map|set|multimap|multiset)|FlatHashMap)\s*"
+    r"<[^;{}]*?>\s*&?\s*(\w+)\s*(?:[;={(]|CGC_GUARDED_BY)")
 RANGE_FOR_RE = re.compile(
     r"\bfor\s*\(\s*(?:const\s+)?[^;()]*?:\s*"
     r"((?:\w+(?:\.|->))*)(\w+)\s*\)")
@@ -227,10 +228,15 @@ def check_unordered_iteration(files, cache, findings):
     Heuristic and file-local by design: it catches the pattern that has
     actually bitten this codebase (emitting rows straight out of an
     unordered_map), while sorted snapshots, sorted containers, or an
-    explicit allow() express the fix.
+    explicit allow() express the fix. A .cpp file also sees the
+    declarations of its same-named header, so class members declared
+    there are covered where the class's methods iterate them.
     """
     for path in files:
         text = cache.text(path)
+        header = path.with_suffix(".hpp")
+        if path.suffix == ".cpp" and header.is_file():
+            text += "\n" + cache.text(header)
         unordered = set(UNORDERED_DECL_RE.findall(text))
         if not unordered:
             continue
