@@ -12,11 +12,11 @@
 
 #include "analysis/periodicity_analyzer.hpp"
 #include "common.hpp"
+#include "gen/workload_model.hpp"
 #include "registry.hpp"
-#include "core/characterization.hpp"
 #include "util/table.hpp"
 
-CGC_BENCH("ext_periodicity", "bench_ext_periodicity", cgc::bench::CaseKind::kExtension,
+CGC_BENCH("ext_periodicity", cgc::bench::CaseKind::kExtension,
           "Host-load periodicity, Cloud vs Grid (extension)") {
   using namespace cgc;
   bench::print_header("ext_periodicity",
@@ -33,8 +33,9 @@ CGC_BENCH("ext_periodicity", "bench_ext_periodicity", cgc::bench::CaseKind::kExt
     preset.node_utilization = util;
     char name[64];
     std::snprintf(name, sizeof(name), "AuverGrid (util=%.2f)", util);
-    grids.emplace_back(name, Characterization::simulate_grid_hostload(
-                                 preset, bench::grid_machines(), horizon));
+    grids.emplace_back(name, gen::simulate_hostload(
+                                 gen::GridWorkloadModel(preset),
+                                 bench::grid_machines(), horizon));
   }
 
   util::AsciiTable table({"system", "metric", "periodic hosts",

@@ -2,8 +2,9 @@
 //
 // Measures, on the standard simulated Google host-load trace:
 //   * write throughput: clusterdata CSV directory vs. CGCS file
-//   * cold-load throughput: read_google_trace() (parse + task/job
-//     reconstruction) vs. StoreReader::load_trace_set() (mmap + decode)
+//   * cold-load throughput: trace::load_trace() of the CSV directory
+//     (parse + task/job reconstruction) vs. store::read_cgcs() (mmap +
+//     decode)
 //   * pushdown scans: full event scan vs. a 1-day time-window scan that
 //     skips chunks via zone maps
 //
@@ -17,6 +18,7 @@
 #include "store/reader.hpp"
 #include "store/writer.hpp"
 #include "trace/google_format.hpp"
+#include "trace/loader.hpp"
 
 namespace {
 
@@ -78,7 +80,10 @@ int main() {
 
   // -- cold load -----------------------------------------------------------
   t0 = std::chrono::steady_clock::now();
-  const trace::TraceSet from_csv = trace::read_google_trace(csv_dir);
+  const trace::TraceSet from_csv = trace::load_trace(
+      csv_dir, {.format = trace::TraceFormat::kGoogleCsv,
+                .system_name = "google-trace",
+                .strictness = trace::Strictness::kStrict});
   const double csv_load_s = seconds_since(t0);
 
   t0 = std::chrono::steady_clock::now();

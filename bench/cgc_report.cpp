@@ -1,13 +1,12 @@
-// cgc_report: the whole reproduction sweep in one process — or
-// sharded across many.
+// cgc_report: the one driver of the reproduction — every case, or any
+// subset (`--only id,...`), in one process or sharded across many.
 //
-// Runs every registered bench case (all paper figures/tables plus the
+// Runs the registered bench cases (all paper figures/tables plus the
 // ablations and extensions) sequentially over the shared in-memory
-// trace cache — each standard trace is built exactly once instead of
-// once per bench binary, and the kernels inside each pipeline fan out
-// across the cgc::exec pool. Emits the same .dat series as the
-// standalone binaries (bit-identical: case bodies are the same
-// functions) plus a machine-readable $CGC_BENCH_OUT/report.json.
+// trace cache — each standard trace is built exactly once however many
+// cases read it, and the kernels inside each pipeline fan out across
+// the cgc::exec pool. Emits each case's .dat series plus a
+// machine-readable $CGC_BENCH_OUT/report.json.
 //
 // The sweep is built to survive a bad night: report.json is rewritten
 // atomically after every case (a SIGKILL at any point leaves a valid
@@ -27,19 +26,12 @@
 // hang (capped backoff, bounded budget), then merges, degrading
 // exhausted shards to failed cases instead of sinking the sweep.
 //
-// Usage:
-//   cgc_report                  run everything
-//   cgc_report --list           list case ids and exit
-//   cgc_report --only id[,id]   run a subset (comma-separated ids)
-//   cgc_report --resume         skip cases already satisfied on disk
-//   cgc_report --shard i/N      run only the cases shard i of N owns
-//   cgc_report --merge DIR...   fuse shard dirs into $CGC_BENCH_OUT
-//   cgc_report --partial        (with --merge) degrade unfinished
-//                               shards to failed cases
-//   cgc_report --spawn N        supervise an N-shard sweep end to end
+// Flags (`cgc_report --help` prints them): --list, --only id[,id...],
+// --all, --resume, --shard i/N, --merge DIR... [--partial], --spawn N.
+// An unknown flag, a malformed value or an unknown case id is a usage
+// error (exit 2).
 // Environment: CGC_BENCH_FAST / CGC_BENCH_CACHE / CGC_BENCH_OUT /
-// CGC_THREADS as for the standalone benches (see bench/common.hpp),
-// plus:
+// CGC_THREADS (see bench/common.hpp), plus:
 //   CGC_RETRY_MAX=N         attempts per case on transient errors (3)
 //   CGC_RETRY_BACKOFF_MS=N  first backoff, doubling, capped at 2000 (100)
 //   CGC_CASE_TIMEOUT=N      per-case wall-clock budget in seconds
@@ -89,6 +81,7 @@
 #include "sweep/partition.hpp"
 #include "sweep/report_io.hpp"
 #include "sweep/supervisor.hpp"
+#include "util/args.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 
@@ -365,7 +358,6 @@ struct Sweep {
   void run_case(std::size_t index, const BenchCase* c, double elapsed) {
     CaseRecord r;
     r.id = c->id;
-    r.binary = c->binary;
     r.kind = cgc::bench::kind_name(c->kind);
     r.title = c->title;
 
@@ -461,8 +453,7 @@ std::vector<cgc::sweep::CaseMeta> case_universe(
   std::vector<cgc::sweep::CaseMeta> expected;
   expected.reserve(cases.size());
   for (const BenchCase* c : cases) {
-    expected.push_back(
-        {c->id, c->binary, cgc::bench::kind_name(c->kind), c->title});
+    expected.push_back({c->id, cgc::bench::kind_name(c->kind), c->title});
   }
   return expected;
 }
@@ -580,91 +571,100 @@ int run_spawn(int num_shards, const std::string& only_csv,
 }
 
 int run(int argc, char** argv) {
-  std::vector<const BenchCase*> cases = cgc::bench::sorted_cases();
-
-  std::vector<std::string> only;
-  std::string only_csv;
-  bool resume = false;
-  bool merge_mode = false;
-  bool partial = false;
-  int spawn_shards = 0;
-  std::optional<ShardSpec> shard;
-  std::vector<std::string> merge_dirs;
-  const auto usage = [&argv] {
-    std::fprintf(stderr,
-                 "usage: %s [--list] [--only id[,id...]] [--all] "
-                 "[--resume] [--shard i/N]\n"
-                 "       %s --merge DIR... [--partial]\n"
-                 "       %s --spawn N [--only id[,id...]]\n",
-                 argv[0], argv[0], argv[0]);
+  cgc::util::Args args(
+      "cgc_report",
+      "runs the paper's reproduction cases (all of them by default) and "
+      "writes .dat series plus $CGC_BENCH_OUT/report.json");
+  args.add_bool("list", "print every case id and exit");
+  args.add_string("only", "", "run only these cases (comma-separated ids)");
+  args.add_bool("all", "run every case (the default; overrides --only)");
+  args.add_bool("resume", "skip cases whose recorded outputs still match");
+  args.add_string("shard", "", "run only the cases shard i of N owns (i/N)");
+  args.add_bool("merge", "fuse the shard DIRs into $CGC_BENCH_OUT");
+  args.add_bool("partial",
+                "with --merge: degrade unfinished shards to failed cases");
+  args.add_int("spawn", 0, "supervise an N-shard sweep end to end");
+  args.set_positional_help("[DIR...]", "shard dirs to fuse (--merge only)");
+  args.add_usage_note(
+      "Environment: CGC_BENCH_FAST=1 (quick scale), CGC_BENCH_CACHE,\n"
+      "CGC_BENCH_OUT, CGC_THREADS (see bench/common.hpp); CGC_RETRY_MAX,\n"
+      "CGC_RETRY_BACKOFF_MS, CGC_CASE_TIMEOUT, CGC_SWEEP_RETRY,\n"
+      "CGC_SWEEP_HEARTBEAT, CGC_CACHE_WAIT, CGC_FAULT_SPEC.");
+  args.add_usage_note(
+      "Exit codes: 0 ok; 1 case failure, data loss or resumable merge\n"
+      "input; 2 usage or conflicting merge inputs; 3 fatal.");
+  switch (args.parse(argc, argv)) {
+    case cgc::util::ParseStatus::kHelp:
+      return cgc::util::kExitOk;
+    case cgc::util::ParseStatus::kError:
+      return cgc::util::kExitUsage;
+    case cgc::util::ParseStatus::kOk:
+      break;
+  }
+  const auto usage_error = [&args](const std::string& message) {
+    std::fprintf(stderr, "cgc_report: %s\n%s", message.c_str(),
+                 args.usage().c_str());
     return cgc::util::kExitUsage;
   };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--list") {
-      for (const BenchCase* c : cases) {
-        std::printf("%-20s %-10s %s\n", c->id.c_str(),
-                    cgc::bench::kind_name(c->kind), c->title.c_str());
-      }
-      return cgc::util::kExitOk;
+
+  std::vector<const BenchCase*> cases = cgc::bench::sorted_cases();
+  if (args.get_bool("list")) {
+    for (const BenchCase* c : cases) {
+      std::printf("%-20s %-10s %s\n", c->id.c_str(),
+                  cgc::bench::kind_name(c->kind), c->title.c_str());
     }
-    if (arg == "--only" && i + 1 < argc) {
-      only_csv = argv[++i];
-      only = split_ids(only_csv);
-    } else if (arg.rfind("--only=", 0) == 0) {
-      only_csv = arg.substr(7);
-      only = split_ids(only_csv);
-    } else if (arg == "--all") {
-      only.clear();
-      only_csv.clear();
-    } else if (arg == "--resume") {
-      resume = true;
-    } else if (arg == "--shard" && i + 1 < argc) {
-      shard = cgc::sweep::parse_shard_spec(argv[++i]);
-    } else if (arg.rfind("--shard=", 0) == 0) {
-      shard = cgc::sweep::parse_shard_spec(arg.substr(8));
-    } else if (arg == "--merge") {
-      merge_mode = true;
-    } else if (arg == "--partial") {
-      partial = true;
-    } else if (arg == "--spawn" && i + 1 < argc) {
-      spawn_shards = std::atoi(argv[++i]);
-    } else if (arg.rfind("--spawn=", 0) == 0) {
-      spawn_shards = std::atoi(arg.substr(8).c_str());
-    } else if (merge_mode && arg.rfind("--", 0) != 0) {
-      merge_dirs.push_back(arg);
-    } else {
-      return usage();
+    return cgc::util::kExitOk;
+  }
+
+  const bool resume = args.get_bool("resume");
+  const bool merge_mode = args.get_bool("merge");
+  const bool partial = args.get_bool("partial");
+  const std::int64_t spawn_shards = args.get_int("spawn");
+  std::optional<ShardSpec> shard;
+  if (args.provided("shard")) {
+    try {
+      shard = cgc::sweep::parse_shard_spec(args.get_string("shard"));
+    } catch (const cgc::util::FatalError& e) {
+      return usage_error(e.what());
     }
+  }
+  if (args.provided("spawn") && spawn_shards < 1) {
+    return usage_error("--spawn expects N >= 1");
   }
   if ((merge_mode && (shard.has_value() || spawn_shards > 0)) ||
       (shard.has_value() && spawn_shards > 0)) {
-    std::fprintf(stderr,
-                 "--merge, --shard, and --spawn are mutually exclusive\n");
-    return usage();
+    return usage_error("--merge, --shard, and --spawn are mutually exclusive");
   }
   if (partial && !merge_mode) {
-    std::fprintf(stderr, "--partial only applies to --merge\n");
-    return usage();
+    return usage_error("--partial only applies to --merge");
+  }
+  if (!merge_mode && !args.positionals().empty()) {
+    return usage_error("unexpected argument " + args.positionals().front());
+  }
+
+  const std::string only_csv =
+      args.get_bool("all") ? "" : args.get_string("only");
+  const std::vector<std::string> only = split_ids(only_csv);
+  for (const std::string& id : only) {
+    if (cgc::bench::find_case(id) == nullptr) {
+      return usage_error("unknown case id \"" + id +
+                         "\" in --only (see --list)");
+    }
   }
   if (!only.empty()) {
     std::erase_if(cases, [&only](const BenchCase* c) {
       return std::find(only.begin(), only.end(), c->id) == only.end();
     });
-    if (cases.empty()) {
-      std::fprintf(stderr, "no cases matched --only filter\n");
-      return cgc::util::kExitUsage;
-    }
   }
   if (merge_mode) {
-    if (merge_dirs.empty()) {
-      std::fprintf(stderr, "--merge needs at least one shard dir\n");
-      return usage();
+    if (args.positionals().empty()) {
+      return usage_error("--merge needs at least one shard dir");
     }
-    return run_merge(merge_dirs, partial, cases);
+    return run_merge(args.positionals(), partial, cases);
   }
   if (spawn_shards > 0) {
-    return run_spawn(spawn_shards, only_csv, argv[0], cases);
+    return run_spawn(static_cast<int>(spawn_shards), only_csv, argv[0],
+                     cases);
   }
 
   // The sweep universe this process owns. A shard may legitimately own
@@ -788,8 +788,7 @@ int run(int argc, char** argv) {
   const auto sweep_start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const BenchCase* c = cases[i];
-    std::printf("\n[%zu/%zu] %s (%s)\n", i + 1, cases.size(), c->id.c_str(),
-                c->binary.c_str());
+    std::printf("\n[%zu/%zu] %s\n", i + 1, cases.size(), c->id.c_str());
     const auto it = previous.find(c->id);
     if (it != previous.end()) {
       CaseRecord r = it->second;

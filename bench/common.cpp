@@ -8,7 +8,8 @@
 #include <memory>
 #include <mutex>
 
-#include "core/characterization.hpp"
+#include "analysis/report.hpp"
+#include "gen/workload_model.hpp"
 #include "sweep/cache.hpp"
 #include "trace/google_format.hpp"
 #include "trace/loader.hpp"
@@ -99,8 +100,7 @@ std::string scale_key() {
 }
 
 /// Process-wide trace memo: each standard trace is built once and
-/// shared by reference across every case in the process (the win that
-/// makes cgc_report beat one-binary-per-figure wall clock). unique_ptr
+/// shared by reference across every case in the process. unique_ptr
 /// slots keep references stable across map rehashes.
 const trace::TraceSet& memoized(
     const std::string& key,
@@ -194,10 +194,8 @@ const trace::TraceSet& google_hostload() {
   return memoized("hostload_" + key, [&key, &config] {
     return cached_trace("hostload_" + key, config, [&key] {
       return build_hostload(key, [] {
-        gen::GoogleModelConfig model;
-        sim::SimConfig sim_config;
-        return Characterization::simulate_google_hostload(
-            model, sim_config, google_machines(), hostload_horizon());
+        return gen::simulate_hostload(gen::GoogleWorkloadModel(),
+                                      google_machines(), hostload_horizon());
       });
     });
   });
@@ -212,8 +210,9 @@ const trace::TraceSet& grid_hostload(const std::string& name) {
   return memoized("hostload_" + key, [&key, &config, &name] {
     return cached_trace("hostload_" + key, config, [&key, &name] {
       return build_hostload(key, [&name] {
-        return Characterization::simulate_grid_hostload(
-            preset_by_name(name), grid_machines(), hostload_horizon());
+        return gen::simulate_hostload(
+            gen::GridWorkloadModel(preset_by_name(name)), grid_machines(),
+            hostload_horizon());
       });
     });
   });

@@ -1,12 +1,10 @@
 // Bench-case registry.
 //
 // Every reproduction pipeline (one paper figure/table/ablation) is a
-// CGC_BENCH-registered function instead of a main(). The same case
-// source links two ways:
-//   * standalone_main.cpp + one case  -> the classic bench_* binary;
-//   * cgc_report.cpp      + all cases -> one process running the whole
-//     sweep over a shared in-memory trace cache (each standard trace is
-//     built once instead of once per binary).
+// CGC_BENCH-registered function instead of a main(). cgc_report links
+// all of them and runs any subset (`--only id,...`) in one process over
+// a shared in-memory trace cache, so each standard trace is built once
+// however many cases read it.
 #pragma once
 
 #include <functional>
@@ -21,14 +19,13 @@ enum class CaseKind { kFigure, kTable, kAblation, kExtension };
 const char* kind_name(CaseKind kind);
 
 struct BenchCase {
-  std::string id;      ///< e.g. "fig04"
-  std::string binary;  ///< standalone binary name, e.g. "bench_fig04_..."
+  std::string id;  ///< e.g. "fig04"; what --only selects
   std::string title;
   CaseKind kind = CaseKind::kFigure;
   std::function<void()> fn;
 };
 
-/// All cases linked into this binary, in registration (link) order.
+/// All registered cases, in registration (link) order.
 std::vector<BenchCase>& registry();
 
 /// All cases in paper order (figures, tables, ablations, extensions;
@@ -43,15 +40,14 @@ const BenchCase* find_case(const std::string& id);
 int register_case(BenchCase c);
 
 /// Registers the body that follows as a bench case:
-///   CGC_BENCH("fig02", "bench_fig02_priorities",
-///             cgc::bench::CaseKind::kFigure, "…title…") {
+///   CGC_BENCH("fig02", cgc::bench::CaseKind::kFigure, "…title…") {
 ///     ...pipeline...
 ///   }
-#define CGC_BENCH(id, binary, kind, title)                            \
+#define CGC_BENCH(id, kind, title)                                    \
   static void cgc_bench_case_body();                                  \
   static const int cgc_bench_case_registered_ =                       \
       ::cgc::bench::register_case(                                    \
-          {id, binary, title, kind, &cgc_bench_case_body});           \
+          {id, title, kind, &cgc_bench_case_body});                   \
   static void cgc_bench_case_body()
 
 }  // namespace cgc::bench

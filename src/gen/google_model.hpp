@@ -98,7 +98,7 @@ struct GoogleModelConfig {
   /// Fraction of tasks submitted with a placement constraint (one
   /// required machine attribute; see trace::MachineAttribute). Sharma et
   /// al. (cited in Section V) report constraints measurably increase
-  /// scheduling delay — bench_ablation_constraints sweeps this.
+  /// scheduling delay — the ablation_constraints case sweeps this.
   double constrained_task_fraction = 0.12;
   /// Probability that a machine offers each attribute bit.
   double machine_attribute_density = 0.62;
@@ -137,6 +137,9 @@ class GoogleWorkloadModel : public WorkloadModel {
 
   /// Always "google" — the paper's cloud system.
   const std::string& name() const override { return name_; }
+
+  /// "google" as well: the system name its traces carry.
+  const std::string& system_name() const override { return name_; }
 
   /// Full-rate workload-only trace (jobs and tasks; no machines).
   trace::TraceSet generate_workload(util::TimeSec horizon) const override;

@@ -84,6 +84,9 @@ class GridWorkloadModel : public WorkloadModel {
   /// in scenario keys.
   const std::string& name() const override { return name_; }
 
+  /// The preset name as spelled in the paper ("AuverGrid", "DAS-2").
+  const std::string& system_name() const override { return preset_.name; }
+
   /// Full-rate workload-only trace (jobs + single parallel task each).
   trace::TraceSet generate_workload(util::TimeSec horizon) const override;
 

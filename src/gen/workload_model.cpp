@@ -2,6 +2,7 @@
 
 #include "gen/google_model.hpp"
 #include "gen/grid_model.hpp"
+#include "sim/cluster_sim.hpp"
 #include "util/error.hpp"
 
 namespace cgc::gen {
@@ -17,6 +18,17 @@ std::vector<std::string> workload_model_names() {
     names.push_back(GridWorkloadModel(p).name());
   }
   return names;
+}
+
+trace::TraceSet simulate_hostload(const WorkloadModel& model,
+                                  std::size_t machines,
+                                  util::TimeSec horizon) {
+  sim::SimConfig config;
+  config.horizon = horizon;
+  model.apply_sim_defaults(&config);
+  sim::ClusterSim sim(model.make_machines(machines), config);
+  return sim.run(model.generate_sim_workload(horizon, machines),
+                 model.system_name() + "-hostload");
 }
 
 std::unique_ptr<WorkloadModel> make_workload_model(const std::string& name,

@@ -33,6 +33,11 @@ class WorkloadModel {
   /// scenario keys, so renaming one changes scenario ids.
   virtual const std::string& name() const = 0;
 
+  /// System name stamped into the traces this model generates: "google"
+  /// for the cloud model, the preset's own spelling ("AuverGrid", ...)
+  /// for grid systems.
+  virtual const std::string& system_name() const = 0;
+
   /// Machine park this model was calibrated for (heterogeneous capacity
   /// groups for the cloud model, uniform nodes for grid systems).
   virtual std::vector<trace::Machine> make_machines(
@@ -59,6 +64,13 @@ class WorkloadModel {
 /// Names accepted by make_workload_model(): "google" plus the eight
 /// grid presets, in registry order.
 std::vector<std::string> workload_model_names();
+
+/// Simulates `machines` of the model's machine park over `horizon`
+/// under its sim defaults (apply_sim_defaults) and returns the
+/// host-load trace, named "<system_name()>-hostload".
+trace::TraceSet simulate_hostload(const WorkloadModel& model,
+                                  std::size_t machines,
+                                  util::TimeSec horizon);
 
 /// Builds the named model with its default calibration, re-seeded with
 /// `seed` when non-zero. Throws util::FatalError for an unknown name

@@ -12,6 +12,7 @@
 
 #include "store/encoding.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace cgc::plan {
@@ -33,36 +34,6 @@ std::string fmt10(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.10g", v);
   return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string workload_str(const ScenarioSpec& spec) {
@@ -387,7 +358,7 @@ std::string render_plan_json(const ScenarioMatrix& matrix,
   std::string out;
   out.reserve(512 + results.size() * 700);
   out += "{\n";
-  out += "  \"matrix\": {\"name\": \"" + json_escape(matrix.name) +
+  out += "  \"matrix\": {\"name\": \"" + util::json_escape(matrix.name) +
          "\", \"digest\": \"" + digest_hex + "\", \"scenarios\": " +
          std::to_string(matrix.scenarios.size()) + "},\n";
 
@@ -411,7 +382,7 @@ std::string render_plan_json(const ScenarioMatrix& matrix,
     if (r.ok) {
       out += ", \"score\": " + score_json(r.score);
     } else {
-      out += ", \"error\": \"" + json_escape(r.error) + "\"";
+      out += ", \"error\": \"" + util::json_escape(r.error) + "\"";
     }
     out += i + 1 < results.size() ? "},\n" : "}\n";
   }

@@ -7,41 +7,11 @@
 
 #include "store/encoding.hpp"
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace cgc::sweep {
 
 namespace {
-
-/// Minimal JSON string escape (quotes, backslashes, control chars).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char ch : s) {
-    switch (ch) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
 
 std::string json_unescape(std::string_view s) {
   std::string out;
@@ -60,7 +30,7 @@ std::string json_unescape(std::string_view s) {
         out += '\t';
         break;
       case 'u':
-        // Only \u00xx (what json_escape emits) needs decoding.
+        // Only \u00xx (what util::json_escape emits) needs decoding.
         if (i + 4 < s.size()) {
           out += static_cast<char>(
               std::stoi(std::string(s.substr(i + 1, 4)), nullptr, 16));
@@ -133,16 +103,15 @@ bool get_bool(std::string_view obj, std::string_view key, bool* out) {
 }
 
 void write_case(std::ostream& out, const CaseRecord& r) {
-  out << "    {\"id\": \"" << json_escape(r.id) << "\", "
-      << "\"binary\": \"" << json_escape(r.binary) << "\", "
-      << "\"kind\": \"" << json_escape(r.kind) << "\", "
-      << "\"title\": \"" << json_escape(r.title) << "\", "
+  out << "    {\"id\": \"" << util::json_escape(r.id) << "\", "
+      << "\"kind\": \"" << util::json_escape(r.kind) << "\", "
+      << "\"title\": \"" << util::json_escape(r.title) << "\", "
       << "\"seconds\": " << r.seconds << ", "
       << "\"ok\": " << (r.ok ? "true" : "false") << ", "
       << "\"resumed\": " << (r.resumed ? "true" : "false") << ", "
       << "\"attempts\": " << r.attempts;
   if (!r.error.empty()) {
-    out << ", \"error\": \"" << json_escape(r.error) << "\"";
+    out << ", \"error\": \"" << util::json_escape(r.error) << "\"";
   }
   out << ", \"perf\": {\"wall_s\": " << r.perf.wall_s
       << ", \"cpu_s\": " << r.perf.cpu_s
@@ -150,8 +119,9 @@ void write_case(std::ostream& out, const CaseRecord& r) {
   out << ", \"outputs\": [";
   for (std::size_t i = 0; i < r.outputs.size(); ++i) {
     const CaseOutput& o = r.outputs[i];
-    out << (i == 0 ? "" : ", ") << "{\"file\": \"" << json_escape(o.file)
-        << "\", \"crc\": " << o.crc << ", \"size\": " << o.size << "}";
+    out << (i == 0 ? "" : ", ") << "{\"file\": \""
+        << util::json_escape(o.file) << "\", \"crc\": " << o.crc
+        << ", \"size\": " << o.size << "}";
   }
   out << "]}";
 }
@@ -160,7 +130,6 @@ bool parse_case(std::string_view line, CaseRecord* r) {
   if (!get_string(line, "id", &r->id)) {
     return false;
   }
-  get_string(line, "binary", &r->binary);
   get_string(line, "kind", &r->kind);
   get_string(line, "title", &r->title);
   get_double(line, "seconds", &r->seconds);
@@ -211,7 +180,7 @@ void write_report(const SweepReport& report, const std::string& path) {
     out << "  \"fast_mode\": " << (report.fast_mode ? "true" : "false")
         << ",\n";
     out << "  \"threads\": " << report.threads << ",\n";
-    out << "  \"fault_spec\": \"" << json_escape(report.fault_spec)
+    out << "  \"fault_spec\": \"" << util::json_escape(report.fault_spec)
         << "\",\n";
     out << "  \"complete\": " << (report.complete ? "true" : "false")
         << ",\n";
@@ -310,10 +279,6 @@ ReportReadStatus read_report_checked(const std::string& path,
   get_u64(header, "parse_lines_bad", &report.parse_lines_bad);
   *out = std::move(report);
   return ReportReadStatus::kOk;
-}
-
-bool read_report(const std::string& path, SweepReport* out) {
-  return read_report_checked(path, out) == ReportReadStatus::kOk;
 }
 
 bool file_crc32(const std::string& path, std::uint32_t* crc,

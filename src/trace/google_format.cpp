@@ -464,19 +464,6 @@ void rebuild_tasks_and_jobs(TraceSet* trace) {
   }
 }
 
-TraceSet read_google_trace(const std::string& directory,
-                           const std::string& system_name) {
-  return detail::read_google_trace_impl(directory, system_name,
-                                        ParseOptions{}, nullptr);
-}
-
-TraceSet read_google_trace(const std::string& directory,
-                           const std::string& system_name,
-                           const ParseOptions& options, ParseReport* report) {
-  return detail::read_google_trace_impl(directory, system_name, options,
-                                        report);
-}
-
 TraceSet detail::read_google_trace_impl(const std::string& directory,
                                         const std::string& system_name,
                                         const ParseOptions& options,

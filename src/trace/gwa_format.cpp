@@ -9,15 +9,6 @@
 
 namespace cgc::trace {
 
-TraceSet read_gwa(const std::string& path, const std::string& system_name) {
-  return detail::read_gwa_impl(path, system_name, ParseOptions{}, nullptr);
-}
-
-TraceSet read_gwa(const std::string& path, const std::string& system_name,
-                  const ParseOptions& options, ParseReport* report) {
-  return detail::read_gwa_impl(path, system_name, options, report);
-}
-
 TraceSet detail::read_gwa_impl(const std::string& path,
                                const std::string& system_name,
                                const ParseOptions& options,

@@ -1,8 +1,8 @@
 // cgc::trace::Loader — the one way in for trace data.
 //
 // Historically each on-disk format had its own entry point with its own
-// leniency knob: read_swf/read_gwa/read_google_trace grew a
-// ParseOptions{tolerant} overload, while the CGCS store grew
+// leniency knob: the text readers grew a ParseOptions{tolerant}
+// overload, while the CGCS store grew
 // ReadMode::kDegraded with a separate DamageReport. Every caller had to
 // know which format it had, which knob that format spoke, and which
 // report type came back. The Loader collapses all of that:
@@ -16,8 +16,8 @@
 // is two orthogonal fields — `strictness` for record-level parse
 // damage in text formats, `on_damage` for chunk-level corruption in
 // the binary store — and everything the load survived is merged into
-// one LoadReport. The per-format functions remain as delegating
-// wrappers for one release; new code should not call them.
+// one LoadReport. It is the only public reader: the per-format parsers
+// are detail:: functions behind it.
 #pragma once
 
 #include <string>

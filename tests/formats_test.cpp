@@ -7,6 +7,7 @@
 
 #include "trace/google_format.hpp"
 #include "trace/gwa_format.hpp"
+#include "trace/loader.hpp"
 #include "trace/swf_format.hpp"
 #include "util/check.hpp"
 
@@ -26,6 +27,14 @@ class FormatsTest : public ::testing::Test {
   }
   std::filesystem::path dir_;
 };
+
+/// Strict Loader read of `path` as `format`, stamped `name`.
+TraceSet load_as(const std::string& path, TraceFormat format,
+                 const std::string& name) {
+  return load_trace(path, {.format = format,
+                           .system_name = name,
+                           .strictness = Strictness::kStrict});
+}
 
 TraceSet make_event_trace() {
   TraceSet trace("roundtrip");
@@ -63,7 +72,7 @@ TEST_F(FormatsTest, GoogleTraceRoundTrip) {
   const std::string dir = path("google_trace");
   write_google_trace(original, dir);
 
-  const TraceSet loaded = read_google_trace(dir, "loaded");
+  const TraceSet loaded = load_as(dir, TraceFormat::kGoogleCsv, "loaded");
   EXPECT_EQ(loaded.system_name(), "loaded");
   EXPECT_EQ(loaded.events().size(), original.events().size());
   EXPECT_EQ(loaded.machines().size(), 1u);
@@ -121,7 +130,8 @@ TEST_F(FormatsTest, GoogleEventPrioritiesAreZeroBasedOnDisk) {
 }
 
 TEST_F(FormatsTest, GoogleMissingDirectoryThrows) {
-  EXPECT_THROW(read_google_trace(path("nope")), util::Error);
+  EXPECT_THROW(load_as(path("nope"), TraceFormat::kGoogleCsv, "google-trace"),
+               util::Error);
 }
 
 TEST_F(FormatsTest, SwfRoundTrip) {
@@ -141,7 +151,7 @@ TEST_F(FormatsTest, SwfRoundTrip) {
 
   const std::string p = path("trace.swf");
   write_swf(original, p);
-  const TraceSet loaded = read_swf(p, "swf-system");
+  const TraceSet loaded = load_as(p, TraceFormat::kSwf, "swf-system");
   ASSERT_EQ(loaded.jobs().size(), 1u);
   const Job& lj = loaded.jobs()[0];
   EXPECT_EQ(lj.job_id, 17);
@@ -165,7 +175,7 @@ TEST_F(FormatsTest, SwfParsesStandardFixture) {
     out << "1 0 30 3600 4 -1 102400 4 7200 -1 1 12 -1 -1 1 -1 -1 -1\n";
     out << "2 100 -1 -1 1 -1 -1 1 600 -1 0 13 -1 -1 1 -1 -1 -1\n";
   }
-  const TraceSet loaded = read_swf(p, "fixture");
+  const TraceSet loaded = load_as(p, TraceFormat::kSwf, "fixture");
   ASSERT_EQ(loaded.jobs().size(), 2u);
   EXPECT_EQ(loaded.jobs()[0].length(), 3630);  // wait + run
   // used_memory is KB/proc: 102400 KB * 4 procs = 400 MB.
@@ -179,7 +189,7 @@ TEST_F(FormatsTest, SwfTooFewFieldsThrows) {
     std::ofstream out(p);
     out << "1 0 30 3600\n";
   }
-  EXPECT_THROW(read_swf(p, "bad"), util::Error);
+  EXPECT_THROW(load_as(p, TraceFormat::kSwf, "bad"), util::Error);
 }
 
 TEST_F(FormatsTest, GwaRoundTrip) {
@@ -197,7 +207,7 @@ TEST_F(FormatsTest, GwaRoundTrip) {
 
   const std::string p = path("trace.gwf");
   write_gwa(original, p);
-  const TraceSet loaded = read_gwa(p, "gwa-system");
+  const TraceSet loaded = load_as(p, TraceFormat::kGwa, "gwa-system");
   ASSERT_EQ(loaded.jobs().size(), 1u);
   EXPECT_EQ(loaded.jobs()[0].job_id, 5);
   EXPECT_EQ(loaded.jobs()[0].length(), 1800);
@@ -212,7 +222,7 @@ TEST_F(FormatsTest, GwaSkipsHeaderComments) {
     out << "; GWA header\n";
     out << "7 0 10 100 1 -1 -1 1 -1 -1 1\n";
   }
-  const TraceSet loaded = read_gwa(p, "hdr");
+  const TraceSet loaded = load_as(p, TraceFormat::kGwa, "hdr");
   ASSERT_EQ(loaded.jobs().size(), 1u);
   EXPECT_EQ(loaded.jobs()[0].length(), 110);
 }
@@ -228,7 +238,7 @@ TEST_F(FormatsTest, GoogleTruncatedFinalRecordReportsLine) {
     out << "999000000,,42,0";  // 4 of the >= 9 required fields
   }
   try {
-    read_google_trace(dir, "trunc");
+    load_as(dir, TraceFormat::kGoogleCsv, "trunc");
     FAIL() << "expected Error for truncated record";
   } catch (const util::Error& e) {
     const std::string what = e.what();
@@ -246,7 +256,7 @@ TEST_F(FormatsTest, GoogleGarbledFieldReportsPathAndLine) {
     out << "not_a_number,,1,0,,0,,0,1\n";
   }
   try {
-    read_google_trace(dir, "garbled");
+    load_as(dir, TraceFormat::kGoogleCsv, "garbled");
     FAIL() << "expected Error for garbled field";
   } catch (const util::Error& e) {
     const std::string what = e.what();
@@ -273,7 +283,7 @@ TEST_F(FormatsTest, GoogleCrLfTraceParses) {
     }
     std::ofstream(p, std::ios::binary) << contents;
   }
-  const TraceSet loaded = read_google_trace(dir, "crlf");
+  const TraceSet loaded = load_as(dir, TraceFormat::kGoogleCsv, "crlf");
   EXPECT_EQ(loaded.events().size(), original.events().size());
   EXPECT_EQ(loaded.machines().size(), original.machines().size());
   ASSERT_NE(loaded.host_load_for(3), nullptr);
@@ -289,7 +299,7 @@ TEST_F(FormatsTest, SwfTruncatedFinalRecordReportsLine) {
     out << "2 100 -1 -1 1 -1";  // cut off mid-record
   }
   try {
-    read_swf(p, "trunc");
+    load_as(p, TraceFormat::kSwf, "trunc");
     FAIL() << "expected Error for truncated record";
   } catch (const util::Error& e) {
     const std::string what = e.what();
@@ -306,7 +316,7 @@ TEST_F(FormatsTest, GwaTruncatedFinalRecordReportsLine) {
     out << "8 5 10 100";  // cut off mid-record
   }
   try {
-    read_gwa(p, "trunc");
+    load_as(p, TraceFormat::kGwa, "trunc");
     FAIL() << "expected Error for truncated record";
   } catch (const util::Error& e) {
     const std::string what = e.what();

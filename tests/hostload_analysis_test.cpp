@@ -4,9 +4,9 @@
 
 #include "analysis/hostload_analyzers.hpp"
 #include "analysis/periodicity_analyzer.hpp"
-#include "core/characterization.hpp"
 #include "gen/google_model.hpp"
 #include "gen/grid_model.hpp"
+#include "gen/workload_model.hpp"
 #include "util/check.hpp"
 
 namespace cgc::analysis {
@@ -16,18 +16,15 @@ namespace {
 /// steady state (the long-service population saturates after ~2x their
 /// ~4-day mean length), which the level-duration properties need.
 const trace::TraceSet& hostload() {
-  static const trace::TraceSet t = [] {
-    gen::GoogleModelConfig config;
-    sim::SimConfig sim_config;
-    return Characterization::simulate_google_hostload(
-        config, sim_config, 16, 10 * util::kSecondsPerDay);
-  }();
+  static const trace::TraceSet t = gen::simulate_hostload(
+      gen::GoogleWorkloadModel(), 16, 10 * util::kSecondsPerDay);
   return t;
 }
 
 const trace::TraceSet& grid_hostload() {
-  static const trace::TraceSet t = Characterization::simulate_grid_hostload(
-      gen::presets::auvergrid(), 8, 3 * util::kSecondsPerDay);
+  static const trace::TraceSet t = gen::simulate_hostload(
+      gen::GridWorkloadModel(gen::presets::auvergrid()), 8,
+      3 * util::kSecondsPerDay);
   return t;
 }
 
@@ -231,8 +228,8 @@ TEST(PeriodicityAnalyzer, UndersubscribedGridSurfacesDiurnalPattern) {
   gen::GridSystemPreset preset = gen::presets::auvergrid();
   preset.node_utilization = 0.4;
   const trace::TraceSet undersubscribed =
-      Characterization::simulate_grid_hostload(preset, 12,
-                                               14 * util::kSecondsPerDay);
+      gen::simulate_hostload(gen::GridWorkloadModel(preset), 12,
+                             14 * util::kSecondsPerDay);
   const PeriodicityReport idle_grid =
       analyze_periodicity(undersubscribed, Metric::kCpu);
   const PeriodicityReport cloud =

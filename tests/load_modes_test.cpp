@@ -4,19 +4,17 @@
 #include <set>
 
 #include "analysis/load_modes.hpp"
-#include "core/characterization.hpp"
+#include "gen/google_model.hpp"
+#include "gen/grid_model.hpp"
+#include "gen/workload_model.hpp"
 #include "util/check.hpp"
 
 namespace cgc::analysis {
 namespace {
 
 const trace::TraceSet& hostload() {
-  static const trace::TraceSet t = [] {
-    gen::GoogleModelConfig config;
-    sim::SimConfig sim_config;
-    return Characterization::simulate_google_hostload(
-        config, sim_config, 16, 4 * util::kSecondsPerDay);
-  }();
+  static const trace::TraceSet t = gen::simulate_hostload(
+      gen::GoogleWorkloadModel(), 16, 4 * util::kSecondsPerDay);
   return t;
 }
 
@@ -99,8 +97,9 @@ TEST(LoadModes, SeparatesCloudFromGridHosts) {
   // must rediscover the two populations (CPU-heavy steady grid nodes vs
   // memory-heavy noisy cloud hosts) almost perfectly.
   trace::TraceSet merged("merged");
-  const trace::TraceSet grid = Characterization::simulate_grid_hostload(
-      gen::presets::auvergrid(), 8, 4 * util::kSecondsPerDay);
+  const trace::TraceSet grid = gen::simulate_hostload(
+      gen::GridWorkloadModel(gen::presets::auvergrid()), 8,
+      4 * util::kSecondsPerDay);
   std::set<std::int64_t> grid_ids;
   for (const trace::Machine& m : hostload().machines()) {
     merged.add_machine(m);

@@ -231,16 +231,19 @@ TEST_F(LoaderTest, ExplicitFormatSkipsDetection) {
   EXPECT_EQ(loaded.jobs().size(), make_job_trace().jobs().size());
 }
 
-TEST_F(LoaderTest, DelegatingWrappersMatchLoader) {
-  // The legacy per-format entry points are now thin wrappers; both
-  // paths must produce identical traces.
+TEST_F(LoaderTest, ExplicitAndDetectedFormatsAgree) {
+  // Forcing the format and letting the Loader detect it must produce
+  // identical traces.
   write_gwa(make_job_trace(), path("wrap.gwa"));
-  const TraceSet via_wrapper = read_gwa(path("wrap.gwa"), "same-name");
+  const TraceSet explicit_format =
+      load_trace(path("wrap.gwa"), {.format = TraceFormat::kGwa,
+                                    .system_name = "same-name",
+                                    .strictness = Strictness::kStrict});
   LoadOptions options;
   options.system_name = "same-name";
-  const TraceSet via_loader = load_trace(path("wrap.gwa"), options);
-  EXPECT_EQ(via_wrapper.jobs().size(), via_loader.jobs().size());
-  EXPECT_EQ(via_wrapper.system_name(), via_loader.system_name());
+  const TraceSet detected = load_trace(path("wrap.gwa"), options);
+  EXPECT_EQ(explicit_format.jobs().size(), detected.jobs().size());
+  EXPECT_EQ(explicit_format.system_name(), detected.system_name());
 }
 
 }  // namespace

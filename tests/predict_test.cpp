@@ -4,7 +4,9 @@
 #include <cmath>
 #include <numbers>
 
-#include "core/characterization.hpp"
+#include "gen/google_model.hpp"
+#include "gen/grid_model.hpp"
+#include "gen/workload_model.hpp"
 #include "predict/evaluation.hpp"
 #include "predict/predictors.hpp"
 #include "util/check.hpp"
@@ -131,12 +133,11 @@ TEST(StandardSuite, HasSixPredictors) {
 class TraceEvaluation : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    gen::GoogleModelConfig config;
-    sim::SimConfig sim_config;
-    cloud_ = new trace::TraceSet(Characterization::simulate_google_hostload(
-        config, sim_config, 8, 2 * util::kSecondsPerDay));
-    grid_ = new trace::TraceSet(Characterization::simulate_grid_hostload(
-        gen::presets::auvergrid(), 6, 2 * util::kSecondsPerDay));
+    cloud_ = new trace::TraceSet(gen::simulate_hostload(
+        gen::GoogleWorkloadModel(), 8, 2 * util::kSecondsPerDay));
+    grid_ = new trace::TraceSet(gen::simulate_hostload(
+        gen::GridWorkloadModel(gen::presets::auvergrid()), 6,
+        2 * util::kSecondsPerDay));
   }
   static void TearDownTestSuite() {
     delete cloud_;

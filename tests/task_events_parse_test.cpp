@@ -1,7 +1,7 @@
 // Table tests for the Google task_events row grammar and the two readers
 // that apply it: the streaming pipe reader (stream::read_event_stream /
 // parse_google_event_line) and the trace-file reader behind
-// trace::read_google_trace. They pin field rules (which integer spellings
+// trace::load_trace's Google CSV format. They pin field rules (which integer spellings
 // parse, which rows are too short, event-code and priority ranges), line
 // framing (comments, blank lines, CR handling, an unterminated last line,
 // lines longer than any read buffer), batching, cooperative shutdown, and
@@ -19,6 +19,7 @@
 #include "stream/replay.hpp"
 #include "stream/shutdown.hpp"
 #include "trace/google_format.hpp"
+#include "trace/loader.hpp"
 #include "trace/parse_report.hpp"
 #include "util/check.hpp"
 
@@ -402,6 +403,16 @@ class TaskEventsFileTest : public ::testing::Test {
     return (dir_ / "task_events.csv").string();
   }
 
+  /// Loads the fixture dir as a Google CSV trace named "g".
+  trace::TraceSet load(trace::Strictness strictness,
+                       trace::LoadReport* report = nullptr) const {
+    return trace::load_trace(dir_.string(),
+                             {.format = trace::TraceFormat::kGoogleCsv,
+                              .system_name = "g",
+                              .strictness = strictness},
+                             report);
+  }
+
   std::filesystem::path dir_;
 };
 
@@ -425,11 +436,9 @@ TEST_F(TaskEventsFileTest, TolerantMessagesNameLineAndCause) {
       row9("0", "1", "2", "", "0", " 3") + "\n" +              // 9
       row9("", "1", "2", "", "0", "1") + "\n" +                // 10
       submit_row(3, 3));                                       // 11
-  trace::ParseOptions options;
-  options.tolerant = true;
-  trace::ParseReport report;
-  const trace::TraceSet t =
-      trace::read_google_trace(dir_.string(), "g", options, &report);
+  trace::LoadReport loaded;
+  const trace::TraceSet t = load(trace::Strictness::kTolerant, &loaded);
+  const trace::ParseReport& report = loaded.parse;
   EXPECT_EQ(report.records_ok, 3u);
   ASSERT_EQ(report.lines_bad, 6u);
   ASSERT_EQ(report.samples.size(), 6u);
@@ -456,10 +465,9 @@ TEST_F(TaskEventsFileTest, TolerantMessagesNameLineAndCause) {
 TEST_F(TaskEventsFileTest, ShortRowWinsOverBadInteger) {
   // A row that is both short and garbled reports the width first.
   write_events("x,,y\n");
-  trace::ParseOptions options;
-  options.tolerant = true;
-  trace::ParseReport report;
-  (void)trace::read_google_trace(dir_.string(), "g", options, &report);
+  trace::LoadReport loaded;
+  (void)load(trace::Strictness::kTolerant, &loaded);
+  const trace::ParseReport& report = loaded.parse;
   ASSERT_EQ(report.samples.size(), 1u);
   EXPECT_TRUE(ends_with(report.samples[0],
                         "task_events row too short (truncated record?)"))
@@ -471,7 +479,7 @@ TEST_F(TaskEventsFileTest, StrictModeThrowsWithPathAndLine) {
       write_events(submit_row(1, 1) + "\n" +
                    row9("0", "1", "2", "", "0", "-1") + "\n");
   try {
-    (void)trace::read_google_trace(dir_.string(), "g");
+    (void)load(trace::Strictness::kStrict);
     FAIL() << "expected a parse error";
   } catch (const util::Error& e) {
     const std::string what = e.what();
@@ -493,7 +501,7 @@ TEST_F(TaskEventsFileTest, FileAndPipeAgreeOnCleanRows) {
             "\n";
   }
   write_events(text);
-  const trace::TraceSet t = trace::read_google_trace(dir_.string(), "g");
+  const trace::TraceSet t = load(trace::Strictness::kStrict);
   const Delivery d = read_text(text);
   ASSERT_EQ(t.events().size(), d.events.size());
   // The trace reader sorts by time; the rows are already time-ordered.

@@ -8,10 +8,8 @@
 #include <string>
 
 #include "fault/fault.hpp"
-#include "trace/google_format.hpp"
-#include "trace/gwa_format.hpp"
+#include "trace/loader.hpp"
 #include "trace/parse_report.hpp"
-#include "trace/swf_format.hpp"
 #include "util/check.hpp"
 
 namespace cgc::trace {
@@ -49,12 +47,19 @@ std::string swf_row(int id) {
 
 constexpr char kBadRow[] = "2 100 not_a_number 60.0 4\n";
 
+/// Loader options for an SWF file named "swf" at `strictness`.
+LoadOptions swf(Strictness strictness) {
+  return {.format = TraceFormat::kSwf,
+          .system_name = "swf",
+          .strictness = strictness};
+}
+
 TEST_F(TolerantParseTest, StrictThrowsWithPathAndLine) {
   // Line 1 is the header; the bad row lands on line 3.
   const std::string p =
       write_file("t.swf", "; header\n" + swf_row(1) + kBadRow + swf_row(3));
   try {
-    read_swf(p, "swf");
+    load_trace(p, swf(Strictness::kStrict));
     FAIL() << "expected a parse error";
   } catch (const util::Error& e) {
     EXPECT_NE(std::string(e.what()).find(p + ":3:"), std::string::npos)
@@ -65,10 +70,9 @@ TEST_F(TolerantParseTest, StrictThrowsWithPathAndLine) {
 TEST_F(TolerantParseTest, TolerantSkipsAndAccounts) {
   const std::string p =
       write_file("t.swf", "; header\n" + swf_row(1) + kBadRow + swf_row(3));
-  ParseOptions options;
-  options.tolerant = true;
-  ParseReport report;
-  const TraceSet trace = read_swf(p, "swf", options, &report);
+  LoadReport loaded;
+  const TraceSet trace = load_trace(p, swf(Strictness::kTolerant), &loaded);
+  const ParseReport& report = loaded.parse;
   EXPECT_EQ(trace.jobs().size(), 2u);
   EXPECT_FALSE(report.clean());
   EXPECT_EQ(report.lines_bad, 1u);
@@ -85,10 +89,13 @@ TEST_F(TolerantParseTest, GwaTolerantSkipsAndAccounts) {
       "1 100 5 60.0 4 -1 1024 4 -1 -1 1\n"
       "garbage line with words\n"
       "3 200 5 60.0 4 -1 1024 4 -1 -1 1\n");
-  ParseOptions options;
-  options.tolerant = true;
-  ParseReport report;
-  const TraceSet trace = read_gwa(p, "gwa", options, &report);
+  LoadReport loaded;
+  const TraceSet trace = load_trace(p,
+                                    {.format = TraceFormat::kGwa,
+                                     .system_name = "gwa",
+                                     .strictness = Strictness::kTolerant},
+                                    &loaded);
+  const ParseReport& report = loaded.parse;
   EXPECT_EQ(trace.jobs().size(), 2u);
   EXPECT_EQ(report.lines_bad, 1u);
   EXPECT_EQ(report.records_ok, 2u);
@@ -103,10 +110,13 @@ TEST_F(TolerantParseTest, GoogleTolerantSkipsAndAccounts) {
     out << "not_a_time,,1,0,5,0,,0,3,,,,\n";
     out << "2000000,,1,0,5,4,,0,3,,,,\n";
   }
-  ParseOptions options;
-  options.tolerant = true;
-  ParseReport report;
-  const TraceSet trace = read_google_trace(d, "google", options, &report);
+  LoadReport loaded;
+  const TraceSet trace = load_trace(d,
+                                    {.format = TraceFormat::kGoogleCsv,
+                                     .system_name = "google",
+                                     .strictness = Strictness::kTolerant},
+                                    &loaded);
+  const ParseReport& report = loaded.parse;
   EXPECT_EQ(trace.events().size(), 2u);
   EXPECT_EQ(report.lines_bad, 1u);
   EXPECT_EQ(report.records_ok, 2u);
@@ -118,12 +128,11 @@ TEST_F(TolerantParseTest, CapAbortsWithDataError) {
     content += kBadRow;
   }
   const std::string p = write_file("t.swf", content);
-  ParseOptions options;
-  options.tolerant = true;
+  LoadOptions options = swf(Strictness::kTolerant);
   options.max_bad_lines = 2;
-  ParseReport report;
-  EXPECT_THROW(read_swf(p, "swf", options, &report), util::DataError);
-  EXPECT_GT(report.lines_bad, options.max_bad_lines);
+  LoadReport loaded;
+  EXPECT_THROW(load_trace(p, options, &loaded), util::DataError);
+  EXPECT_GT(loaded.parse.lines_bad, options.max_bad_lines);
 }
 
 TEST_F(TolerantParseTest, SampleRecordingIsCapped) {
@@ -132,13 +141,12 @@ TEST_F(TolerantParseTest, SampleRecordingIsCapped) {
     content += kBadRow;
   }
   const std::string p = write_file("t.swf", content);
-  ParseOptions options;
-  options.tolerant = true;
+  LoadOptions options = swf(Strictness::kTolerant);
   options.max_recorded = 3;
-  ParseReport report;
-  read_swf(p, "swf", options, &report);
-  EXPECT_EQ(report.lines_bad, 10u);
-  EXPECT_EQ(report.samples.size(), 3u);
+  LoadReport loaded;
+  load_trace(p, options, &loaded);
+  EXPECT_EQ(loaded.parse.lines_bad, 10u);
+  EXPECT_EQ(loaded.parse.samples.size(), 3u);
 }
 
 TEST_F(TolerantParseTest, InjectedParseFaultSkipsDeterministically) {
@@ -147,10 +155,9 @@ TEST_F(TolerantParseTest, InjectedParseFaultSkipsDeterministically) {
                                                 swf_row(2) + swf_row(3) +
                                                 swf_row(4));
   fault::configure("trace.parse_line:every=2");
-  ParseOptions options;
-  options.tolerant = true;
-  ParseReport report;
-  const TraceSet trace = read_swf(p, "swf", options, &report);
+  LoadReport loaded;
+  const TraceSet trace = load_trace(p, swf(Strictness::kTolerant), &loaded);
+  const ParseReport& report = loaded.parse;
   EXPECT_EQ(trace.jobs().size(), 2u);
   EXPECT_EQ(report.lines_bad, 2u);
   for (const std::string& s : report.samples) {
@@ -159,7 +166,7 @@ TEST_F(TolerantParseTest, InjectedParseFaultSkipsDeterministically) {
   // The same spec in strict mode fails on the first injected line.
   fault::configure("trace.parse_line:every=2");
   try {
-    read_swf(p, "swf");
+    load_trace(p, swf(Strictness::kStrict));
     FAIL() << "expected a parse error";
   } catch (const util::Error& e) {
     EXPECT_NE(std::string(e.what()).find(":2:"), std::string::npos)
@@ -171,14 +178,12 @@ TEST_F(TolerantParseTest, IoFaultPropagatesEvenWhenTolerant) {
   const std::string p =
       write_file("t.swf", "; header\n" + swf_row(1) + swf_row(2));
   fault::configure("io.read:once=2");
-  ParseOptions options;
-  options.tolerant = true;
-  ParseReport report;
+  LoadReport loaded;
   // io.read defaults to the transient kind at the call site: not a
   // record-level problem, so tolerant mode must not swallow it.
-  EXPECT_THROW(read_swf(p, "swf", options, &report),
+  EXPECT_THROW(load_trace(p, swf(Strictness::kTolerant), &loaded),
                util::TransientError);
-  EXPECT_EQ(report.lines_bad, 0u);
+  EXPECT_EQ(loaded.parse.lines_bad, 0u);
 }
 
 TEST_F(TolerantParseTest, ReportMergeAggregates) {

@@ -1,9 +1,11 @@
-// Unit tests for cgc::util basics: CGC_CHECK, Rng, time utils, tables.
+// Unit tests for cgc::util basics: CGC_CHECK, Rng, time utils, tables,
+// JSON string escaping.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "util/check.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/time_util.hpp"
@@ -135,6 +137,32 @@ TEST(Table, CellFormatting) {
   EXPECT_EQ(cell_ratio(6.4, 93.6), "6/94");
   EXPECT_EQ(cell_pct(0.5), "50.0%");
   EXPECT_EQ(cell_pct(0.123456, 2), "12.35%");
+}
+
+TEST(Json, EscapeTable) {
+  struct Case {
+    std::string in;
+    std::string out;
+  };
+  const Case cases[] = {
+      {"plain", "plain"},
+      {"", ""},
+      {"say \"hi\"", "say \\\"hi\\\""},
+      {"a\\b", "a\\\\b"},
+      {"l1\nl2", "l1\\nl2"},
+      {"c1\tc2", "c1\\tc2"},
+      {std::string("\x01"), "\\u0001"},
+      {std::string("\x1f"), "\\u001f"},
+      {std::string("\r"), "\\u000d"},
+      {std::string("\0", 1), "\\u0000"},
+      {" ~\x7f", " ~\x7f"},  // 0x20..0x7f pass through
+      // Bytes >= 0x80 (UTF-8 here: "é", "—") pass through unchanged.
+      {"caf\xc3\xa9 \xe2\x80\x94", "caf\xc3\xa9 \xe2\x80\x94"},
+      {std::string("\x80\xff"), std::string("\x80\xff")},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(json_escape(c.in), c.out) << "input: " << c.in;
+  }
 }
 
 }  // namespace
