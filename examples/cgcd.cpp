@@ -28,10 +28,13 @@
 #include <iostream>
 #include <string>
 
+#include <unistd.h>
+
 #include "stream/daemon.hpp"
 #include "stream/shutdown.hpp"
 #include "util/args.hpp"
 #include "util/check.hpp"
+#include "util/csv.hpp"
 #include "util/error.hpp"
 
 int main(int argc, char** argv) {
@@ -118,8 +121,13 @@ int main(int argc, char** argv) {
   if (config.batch_size == 0 || config.window.rate_bins == 0) {
     return fail_usage("--batch and --rate-bins must be positive");
   }
+  // stdin is read with read(2), not through std::cin: rows reach the
+  // window as soon as the pipe has them, and a SIGTERM/SIGINT ends a
+  // read blocked on an idle pipe (util::FdInputBuf).
+  cgc::util::FdInputBuf stdin_buf(STDIN_FILENO);
+  std::istream stdin_stream(&stdin_buf);
   try {
-    return cgc::stream::run_daemon(config, std::cin, std::cout);
+    return cgc::stream::run_daemon(config, stdin_stream, std::cout);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return cgc::error::exit_code(e);
