@@ -206,4 +206,72 @@ void run_chunks(std::size_t num_chunks,
 
 }  // namespace detail
 
+void overlap(const std::function<void()>& foreground,
+             const std::function<void()>& background) {
+  // Claim state shared with the helper task, which holds it by
+  // shared_ptr: a helper scheduled after the caller claimed `background`
+  // itself finds valid memory, loses the claim and returns without
+  // touching `background` (which may be gone by then).
+  struct State {
+    const std::function<void()>* background = nullptr;
+    std::atomic<bool> claimed{false};
+    util::Mutex mutex;
+    util::CondVar done_cv;
+    bool done CGC_GUARDED_BY(mutex) = false;
+    std::exception_ptr error CGC_GUARDED_BY(mutex);
+  };
+  auto state = std::make_shared<State>();
+  state->background = &background;
+
+  const bool track_queue = obs::metrics_enabled();
+  if (track_queue) {
+    queue_depth_gauge().add(1);
+  }
+  detail::pool().submit([state, track_queue] {
+    if (track_queue) {
+      queue_depth_gauge().add(-1);
+    }
+    if (state->claimed.exchange(true)) {
+      return;  // the caller ran it
+    }
+    std::exception_ptr error;
+    try {
+      (*state->background)();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    util::MutexLock lock(state->mutex);
+    state->error = error;
+    state->done = true;
+    state->done_cv.notify_all();
+  });
+
+  std::exception_ptr foreground_error;
+  try {
+    foreground();
+  } catch (...) {
+    foreground_error = std::current_exception();
+  }
+  std::exception_ptr background_error;
+  if (!state->claimed.exchange(true)) {
+    try {
+      background();
+    } catch (...) {
+      background_error = std::current_exception();
+    }
+  } else {
+    util::MutexLock lock(state->mutex);
+    while (!state->done) {
+      state->done_cv.wait(state->mutex);
+    }
+    background_error = state->error;
+  }
+  if (background_error) {
+    std::rethrow_exception(background_error);
+  }
+  if (foreground_error) {
+    std::rethrow_exception(foreground_error);
+  }
+}
+
 }  // namespace cgc::exec

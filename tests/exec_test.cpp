@@ -1,13 +1,18 @@
 // Tests for cgc::exec: deterministic chunk planning, coverage,
 // reductions that are bit-identical at 1 vs N workers, nesting safety,
-// ordered exception propagation, and the deterministic parallel sort.
+// ordered exception propagation, the deterministic parallel sort, and
+// the overlap primitive's thread, progress and exception rules.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <numeric>
 #include <random>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "exec/parallel.hpp"
@@ -240,6 +245,121 @@ TEST(ParallelSort, IdenticalAtOneVersusManyWorkers) {
 }
 
 TEST(NumWorkers, AtLeastOne) { EXPECT_GE(num_workers(), 1u); }
+
+TEST(Overlap, ForegroundOnTheCallerAndEachFunctionOnce) {
+  util::ThreadPool eight(8);
+  for (util::ThreadPool* pool :
+       {static_cast<util::ThreadPool*>(nullptr), &eight}) {
+    ScopedPool scoped(pool);
+    for (int round = 0; round < 200; ++round) {
+      int foreground_calls = 0;
+      std::atomic<int> background_calls{0};
+      std::thread::id foreground_thread;
+      overlap([&] {
+                ++foreground_calls;
+                foreground_thread = std::this_thread::get_id();
+              },
+              [&] { background_calls.fetch_add(1); });
+      ASSERT_EQ(foreground_calls, 1);
+      ASSERT_EQ(background_calls.load(), 1);
+      ASSERT_EQ(foreground_thread, std::this_thread::get_id());
+    }
+  }
+}
+
+TEST(Overlap, BackgroundWritesAreVisibleAfterTheReturn) {
+  // No atomics: the return must order the background's plain writes.
+  std::vector<int> written(1000, 0);
+  int read_back = 0;
+  overlap([&] { read_back = 1; },
+          [&] { std::fill(written.begin(), written.end(), 7); });
+  EXPECT_EQ(read_back, 1);
+  EXPECT_EQ(std::count(written.begin(), written.end(), 7), 1000);
+}
+
+TEST(Overlap, CallerRunsBackgroundWhenTheOnlyWorkerIsParked) {
+  // Park the 1-worker pool's only worker inside an enclosing
+  // parallel_for: both chunks block until released, so one lands on
+  // the region's calling thread and the other on the worker.
+  util::ThreadPool one(1);
+  ScopedPool scoped(&one);
+  std::atomic<int> parked{0};
+  std::atomic<bool> release{false};
+  auto region = std::async(std::launch::async, [&] {
+    parallel_for(
+        0, 2,
+        [&](std::size_t) {
+          parked.fetch_add(1);
+          while (!release.load()) {
+            std::this_thread::yield();
+          }
+        },
+        /*grain=*/1);
+  });
+  while (parked.load() < 2) {
+    std::this_thread::yield();
+  }
+  std::thread::id background_thread;
+  overlap([] {}, [&] { background_thread = std::this_thread::get_id(); });
+  EXPECT_EQ(background_thread, std::this_thread::get_id());
+  release.store(true);
+  region.get();
+}
+
+TEST(Overlap, NestedInThePoolsOnlyWorkerRunsSerially) {
+  util::ThreadPool one(1);
+  ScopedPool scoped(&one);
+  std::atomic<int> runs{0};
+  one.submit([&] {
+       overlap([&] { runs.fetch_add(1); }, [&] { runs.fetch_add(1); });
+     }).get();
+  EXPECT_EQ(runs.load(), 2);
+}
+
+TEST(Overlap, BackgroundExceptionWinsWhenBothThrow) {
+  util::ThreadPool eight(8);
+  for (util::ThreadPool* pool :
+       {static_cast<util::ThreadPool*>(nullptr), &eight}) {
+    ScopedPool scoped(pool);
+    for (int round = 0; round < 50; ++round) {
+      try {
+        overlap([] { throw std::runtime_error("foreground"); },
+                [] { throw util::Error("background"); });
+        FAIL() << "expected throw";
+      } catch (const util::Error& e) {
+        EXPECT_STREQ(e.what(), "background");
+      }
+    }
+  }
+}
+
+TEST(Overlap, ForegroundExceptionWaitsForTheBackground) {
+  util::ThreadPool eight(8);
+  for (util::ThreadPool* pool :
+       {static_cast<util::ThreadPool*>(nullptr), &eight}) {
+    ScopedPool scoped(pool);
+    bool background_done = false;
+    try {
+      overlap([] { throw std::runtime_error("foreground"); },
+              [&] {
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                background_done = true;
+              });
+      FAIL() << "expected throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "foreground");
+    }
+    EXPECT_TRUE(background_done);
+  }
+}
+
+TEST(Overlap, BackgroundExceptionAloneIsRethrown) {
+  int foreground_calls = 0;
+  EXPECT_THROW(overlap([&] { ++foreground_calls; },
+                       [] { throw util::Error("background"); }),
+               util::Error);
+  EXPECT_EQ(foreground_calls, 1);
+}
 
 }  // namespace
 }  // namespace cgc::exec
