@@ -1,6 +1,9 @@
 #include "util/thread_pool.hpp"
 
+#include <pthread.h>
+
 #include <algorithm>
+#include <csignal>
 #include <cstdlib>
 #include <string>
 
@@ -8,10 +11,38 @@
 
 namespace cgc::util {
 
+namespace {
+
+/// Blocks SIGTERM and SIGINT on the calling thread for its lifetime, then
+/// restores the previous mask. A thread started meanwhile inherits the
+/// blocked mask.
+class StopSignalsBlocked {
+ public:
+  StopSignalsBlocked() {
+    sigset_t stop_signals;
+    sigemptyset(&stop_signals);
+    sigaddset(&stop_signals, SIGTERM);
+    sigaddset(&stop_signals, SIGINT);
+    pthread_sigmask(SIG_BLOCK, &stop_signals, &previous_);
+  }
+  ~StopSignalsBlocked() { pthread_sigmask(SIG_SETMASK, &previous_, nullptr); }
+  StopSignalsBlocked(const StopSignalsBlocked&) = delete;
+  StopSignalsBlocked& operator=(const StopSignalsBlocked&) = delete;
+
+ private:
+  sigset_t previous_;
+};
+
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
+  // Workers never take a process-directed SIGTERM/SIGINT: it goes to a
+  // thread outside the pool, such as a main thread blocked in read(2),
+  // whose read then fails with EINTR (stream/shutdown.hpp).
+  const StopSignalsBlocked blocked;
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

@@ -20,6 +20,8 @@ namespace cgc::util {
 
 /// A fixed pool of worker threads executing enqueued tasks FIFO.
 /// Destruction joins all workers after draining the queue (RAII).
+/// Workers block SIGTERM and SIGINT, so those signals, when sent to the
+/// process, are delivered to a thread outside the pool.
 class ThreadPool {
  public:
   /// Creates `num_threads` workers; 0 means hardware_concurrency().

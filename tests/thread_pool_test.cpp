@@ -102,5 +102,28 @@ TEST(ThreadPool, ExceptionDoesNotKillWorkers) {
   EXPECT_TRUE(ran.load());
 }
 
+bool blocks(int signal) {
+  sigset_t mask;
+  pthread_sigmask(SIG_BLOCK, nullptr, &mask);
+  return sigismember(&mask, signal) == 1;
+}
+
+TEST(ThreadPool, WorkersBlockStopSignalsAndTheCreatorDoesNot) {
+  ASSERT_FALSE(blocks(SIGTERM));
+  ASSERT_FALSE(blocks(SIGINT));
+  ThreadPool pool(2);
+  EXPECT_FALSE(blocks(SIGTERM)) << "the creator's mask was not restored";
+  EXPECT_FALSE(blocks(SIGINT));
+  bool term = false;
+  bool interrupt = false;
+  pool.submit([&] {
+        term = blocks(SIGTERM);
+        interrupt = blocks(SIGINT);
+      })
+      .get();
+  EXPECT_TRUE(term);
+  EXPECT_TRUE(interrupt);
+}
+
 }  // namespace
 }  // namespace cgc::util
