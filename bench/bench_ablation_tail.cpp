@@ -54,7 +54,7 @@ CGC_BENCH("ablation_tail", cgc::bench::CaseKind::kAblation,
                           "mm-dist (d)", "P(<1h)"});
   for (const Variant& v : variants) {
     const auto sample = stats::sample_many(*v.dist, n, rng);
-    const auto mc = stats::mass_count_disparity(sample);
+    const auto mc = stats::MassCount(sample).disparity();
     std::size_t under_1h = 0;
     double total = 0.0;
     for (const double x : sample) {

@@ -24,7 +24,7 @@ std::vector<double> random_sample(std::size_t n, std::uint64_t seed = 1) {
 void BM_MassCountDisparity(benchmark::State& state) {
   const auto sample = random_sample(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(stats::mass_count_disparity(sample));
+    benchmark::DoNotOptimize(stats::MassCount(sample).disparity());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

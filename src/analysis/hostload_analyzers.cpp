@@ -300,7 +300,8 @@ QueueRunMassCount analyze_queue_run_mass_count(const TraceSet& trace) {
     bucket.hi = b == kNumBuckets - 1 ? -1 : (b + 1) * kBucketWidth - 1;
     bucket.num_runs = d.size();
     if (d.size() >= 10) {
-      bucket.mass_count = stats::mass_count_disparity(d);
+      const stats::MassCount mc(d);
+      bucket.mass_count = mc.disparity();
       Series s;
       char name[64];
       if (bucket.hi < 0) {
@@ -311,7 +312,7 @@ QueueRunMassCount analyze_queue_run_mass_count(const TraceSet& trace) {
       }
       s.name = name;
       s.column_names = {"duration_min", "count_cdf", "mass_cdf"};
-      for (const auto& row : stats::mass_count_plot(d)) {
+      for (const auto& row : mc.plot()) {
         s.add_row({row[0], row[1], row[2]});
       }
       out.figure.series.push_back(std::move(s));
@@ -421,7 +422,7 @@ LevelDurationTable analyze_level_durations(const TraceSet& trace,
     row.avg_minutes = summary.mean();
     row.max_minutes = summary.max();
     if (durations[l].size() >= 10) {
-      const auto mc = stats::mass_count_disparity(durations[l]);
+      const auto mc = stats::MassCount(durations[l]).disparity();
       row.joint_ratio_mass = mc.joint_ratio_mass;
       row.joint_ratio_count = mc.joint_ratio_count;
       row.mm_distance_minutes = mc.mm_distance;
@@ -484,7 +485,8 @@ UsageMassCountReport analyze_usage_mass_count(const TraceSet& trace,
   std::vector<double> positive = usage;
   std::erase_if(positive, [](double v) { return v <= 0.0; });
   CGC_CHECK_MSG(!positive.empty(), "all-zero usage");
-  report.result = stats::mass_count_disparity(positive);
+  const stats::MassCount mc(std::move(positive));
+  report.result = mc.disparity();
 
   const bool is_cpu = metric == Metric::kCpu;
   const bool all_bands = min_band == PriorityBand::kLow;
@@ -498,7 +500,7 @@ UsageMassCountReport analyze_usage_mass_count(const TraceSet& trace,
   Series s;
   s.name = "mass_count";
   s.column_names = {"usage", "count_cdf", "mass_cdf"};
-  for (const auto& row : stats::mass_count_plot(positive)) {
+  for (const auto& row : mc.plot()) {
     s.add_row({row[0], row[1], row[2]});
   }
   report.figure.series.push_back(std::move(s));

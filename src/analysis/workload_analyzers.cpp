@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "exec/parallel.hpp"
 #include "stats/descriptive.hpp"
@@ -117,11 +118,12 @@ MassCountReport analyze_task_length_mass_count(const trace::TraceSet& trace) {
   // Zero-length tasks carry no mass and break the positivity requirement.
   std::erase_if(durations, [](double d) { return d <= 0.0; });
   CGC_CHECK_MSG(!durations.empty(), "no completed tasks in " + report.system);
-  report.result = stats::mass_count_disparity(durations);
   const auto summary =
       stats::summarize(std::span<const double>(durations));
   report.mean = summary.mean();
   report.max = summary.max();
+  const stats::MassCount mc(std::move(durations));
+  report.result = mc.disparity();
 
   report.figure.id = "fig04_" + sanitize_name(report.system);
   report.figure.title =
@@ -129,7 +131,7 @@ MassCountReport analyze_task_length_mass_count(const trace::TraceSet& trace) {
   Series s;
   s.name = "mass_count";
   s.column_names = {"length_s", "count_cdf", "mass_cdf"};
-  for (const auto& row : stats::mass_count_plot(durations)) {
+  for (const auto& row : mc.plot()) {
     s.add_row({row[0], row[1], row[2]});
   }
   report.figure.series.push_back(std::move(s));

@@ -4,16 +4,17 @@
 #include <cmath>
 
 #include "exec/parallel.hpp"
+#include "stats/radix_sort.hpp"
 #include "util/check.hpp"
 
 namespace cgc::stats {
 
 Ecdf::Ecdf(std::vector<double> samples) : sorted_(std::move(samples)) {
-  // Construction cost is the sort; month-scale samples (task lengths,
-  // usage samples) fan out across the pool. parallel_sort and the
-  // chunked sum are deterministic at any thread count (exec contract),
-  // so Ecdf-derived outputs stay bit-identical serial vs parallel.
-  exec::parallel_sort(&sorted_);
+  // Construction cost is the sort (the serial radix kernel, exact and
+  // input-order independent); the chunked sum is deterministic at any
+  // thread count (exec contract), so Ecdf-derived outputs stay
+  // bit-identical serial vs parallel.
+  radix_sort(sorted_);
   const double sum = exec::parallel_reduce(
       0, sorted_.size(), 0.0,
       [this](std::size_t lo, std::size_t hi) {

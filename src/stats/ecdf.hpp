@@ -6,7 +6,7 @@
 // figures (4, 9, 11, 12) reuse it as their "count" half. Implements the
 // standard empirical estimator F_n(x) = (1/n) Σ 1{X_i <= x} — the
 // right-continuous step function through the order statistics. Ecdf
-// stores the sorted sample once (sorting fans out via cgc::exec) and
+// stores the sorted sample once (sorted by stats::radix_sort) and
 // answers evaluations, quantiles, and downsampled plot series.
 #pragma once
 

@@ -1,55 +1,39 @@
 #include "stats/mass_count.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
+#include <utility>
 
-#include "exec/parallel.hpp"
+#include "stats/radix_sort.hpp"
 #include "util/check.hpp"
 
 namespace cgc::stats {
 
-namespace {
-
-/// Sorted copy plus prefix-mass vector; shared by both entry points.
-struct SortedMass {
-  std::vector<double> sorted;
-  std::vector<double> prefix_mass;  // prefix_mass[i] = sum of sorted[0..i]
-  double total = 0.0;
-};
-
-SortedMass prepare(std::span<const double> values) {
-  CGC_CHECK_MSG(!values.empty(), "mass-count of empty sample");
-  SortedMass sm;
-  sm.sorted.assign(values.begin(), values.end());
-  // The sort dominates (the prefix-mass sweep is a single O(n) pass
-  // kept serial so the accumulation order is fixed); parallel_sort is
-  // deterministic, so joint ratios and .dat series are thread-count
-  // independent.
-  exec::parallel_sort(&sm.sorted);
-  CGC_CHECK_MSG(sm.sorted.front() >= 0.0,
+MassCount::MassCount(std::vector<double> values) : sorted_(std::move(values)) {
+  CGC_CHECK_MSG(!sorted_.empty(), "mass-count of empty sample");
+  // The prefix-mass sweep runs serially in sorted order, so its sums do
+  // not depend on the thread count or on the input order.
+  radix_sort(sorted_);
+  CGC_CHECK_MSG(sorted_.front() >= 0.0,
                 "mass-count requires non-negative values");
-  sm.prefix_mass.resize(sm.sorted.size());
+  prefix_mass_.resize(sorted_.size());
   double acc = 0.0;
-  for (std::size_t i = 0; i < sm.sorted.size(); ++i) {
-    acc += sm.sorted[i];
-    sm.prefix_mass[i] = acc;
+  for (std::size_t i = 0; i < sorted_.size(); ++i) {
+    acc += sorted_[i];
+    prefix_mass_[i] = acc;
   }
-  sm.total = acc;
-  CGC_CHECK_MSG(sm.total > 0.0, "mass-count requires positive total mass");
-  return sm;
+  total_ = acc;
+  CGC_CHECK_MSG(total_ > 0.0, "mass-count requires positive total mass");
 }
 
-}  // namespace
+double MassCount::fc(std::size_t i) const {
+  return static_cast<double>(i + 1) / static_cast<double>(sorted_.size());
+}
 
-MassCountResult mass_count_disparity(std::span<const double> values) {
-  const SortedMass sm = prepare(values);
-  const std::size_t n = sm.sorted.size();
-  const auto fc = [&](std::size_t i) {
-    return static_cast<double>(i + 1) / static_cast<double>(n);
-  };
-  const auto fm = [&](std::size_t i) { return sm.prefix_mass[i] / sm.total; };
+double MassCount::fm(std::size_t i) const { return prefix_mass_[i] / total_; }
 
+MassCountResult MassCount::disparity() const {
+  const std::size_t n = sorted_.size();
   MassCountResult result;
   result.n = n;
 
@@ -85,28 +69,25 @@ MassCountResult mass_count_disparity(std::span<const double> values) {
         a = mid + 1;
       }
     }
-    return sm.sorted[a];
+    return sorted_[a];
   };
-  result.count_median = median_of(fc);
-  result.mass_median = median_of(fm);
+  result.count_median = median_of([this](std::size_t i) { return fc(i); });
+  result.mass_median = median_of([this](std::size_t i) { return fm(i); });
   result.mm_distance = std::abs(result.mass_median - result.count_median);
   return result;
 }
 
-std::vector<std::array<double, 3>> mass_count_plot(
-    std::span<const double> values, std::size_t max_points) {
-  const SortedMass sm = prepare(values);
-  const std::size_t n = sm.sorted.size();
+std::vector<std::array<double, 3>> MassCount::plot(
+    std::size_t max_points) const {
+  const std::size_t n = sorted_.size();
   const std::size_t step = std::max<std::size_t>(1, n / max_points);
   std::vector<std::array<double, 3>> out;
   out.reserve(n / step + 2);
   for (std::size_t i = 0; i < n; i += step) {
-    out.push_back({sm.sorted[i],
-                   static_cast<double>(i + 1) / static_cast<double>(n),
-                   sm.prefix_mass[i] / sm.total});
+    out.push_back({sorted_[i], fc(i), fm(i)});
   }
-  if (out.back()[0] != sm.sorted.back()) {
-    out.push_back({sm.sorted.back(), 1.0, 1.0});
+  if (out.back()[0] != sorted_.back()) {
+    out.push_back({sorted_.back(), 1.0, 1.0});
   }
   return out;
 }

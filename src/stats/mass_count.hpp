@@ -15,8 +15,7 @@
 #pragma once
 
 #include <array>
-#include <span>
-#include <utility>
+#include <cstddef>
 #include <vector>
 
 namespace cgc::stats {
@@ -44,13 +43,31 @@ struct MassCountResult {
   }
 };
 
-/// Computes the mass-count disparity of a positive sample.
-/// Throws if the sample is empty or its total mass is zero.
-MassCountResult mass_count_disparity(std::span<const double> values);
+/// Mass-count view of one non-negative sample. The constructor sorts
+/// the sample (radix_sort) and builds its prefix mass once; disparity()
+/// and plot() both read from that, so a figure that needs the
+/// statistics and the curve sorts its sample once.
+class MassCount {
+ public:
+  /// Throws if the sample is empty, holds a negative value or NaN, or
+  /// its total mass is zero.
+  explicit MassCount(std::vector<double> values);
 
-/// Plot series for a mass-count figure: up to `max_points` rows of
-/// (x, Fc(x), Fm(x)), rank-spaced like the paper's plots.
-std::vector<std::array<double, 3>> mass_count_plot(
-    std::span<const double> values, std::size_t max_points = 200);
+  /// Joint ratio, medians and mm-distance of the sample.
+  MassCountResult disparity() const;
+
+  /// Plot series for a mass-count figure: up to `max_points` rows of
+  /// (x, Fc(x), Fm(x)), rank-spaced like the paper's plots, plus the
+  /// sample maximum at (1, 1) when the spacing skips it.
+  std::vector<std::array<double, 3>> plot(std::size_t max_points = 200) const;
+
+ private:
+  double fc(std::size_t i) const;
+  double fm(std::size_t i) const;
+
+  std::vector<double> sorted_;
+  std::vector<double> prefix_mass_;  // prefix_mass_[i] = sum of sorted_[0..i]
+  double total_ = 0.0;
+};
 
 }  // namespace cgc::stats

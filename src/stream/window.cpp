@@ -31,11 +31,6 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-std::uint64_t task_key(const trace::TaskEvent& event) {
-  return (static_cast<std::uint64_t>(event.job_id) << 32) ^
-         static_cast<std::uint32_t>(event.task_index);
-}
-
 /// JSON fragment for one StreamingEcdf: summary quantiles plus plot
 /// points. Doubles are streamed at 12 significant digits — more than
 /// the CI tolerance needs, few enough to keep query output small.
@@ -489,7 +484,8 @@ void SlidingWindow::apply_sequential(const trace::TaskEvent& event) {
     case trace::TaskEventType::kSchedule: {
       pending_ = std::max<std::int64_t>(0, pending_ - 1);
       ++running_;
-      running_tasks_[task_key(event)] = TaskRun{t, event.machine_id};
+      running_tasks_[trace::task_key_of(event)] =
+          TaskRun{t, event.machine_id};
       if (event.machine_id >= 0) {
         ++host_running_[event.machine_id];
       }
@@ -498,7 +494,7 @@ void SlidingWindow::apply_sequential(const trace::TaskEvent& event) {
     case trace::TaskEventType::kUpdate:
       break;
     default: {  // terminal: EVICT/FAIL/FINISH/KILL/LOST
-      const std::uint64_t key = task_key(event);
+      const trace::TaskKey key = trace::task_key_of(event);
       if (const TaskRun* found = running_tasks_.find(key)) {
         const TaskRun run = *found;
         running_tasks_.erase(key);

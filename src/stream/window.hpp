@@ -40,9 +40,9 @@
 #include <string>
 #include <vector>
 
-#include "stream/flat_hash_map.hpp"
 #include "stream/sketch.hpp"
 #include "trace/types.hpp"
+#include "util/flat_hash_map.hpp"
 #include "util/time_util.hpp"
 
 namespace cgc::stream {
@@ -216,9 +216,9 @@ class SlidingWindow {
   // Stream state machine (sequential phase). Jobs are never forgotten
   // (a later SUBMIT of a finished job is not a new job); running tasks
   // leave at their terminal event; idle hosts are pruned at window close.
-  FlatHashMap<std::int64_t, JobState> jobs_;
-  FlatHashMap<std::uint64_t, TaskRun> running_tasks_;
-  FlatHashMap<std::int64_t, std::int64_t> host_running_;
+  util::FlatHashMap<std::int64_t, JobState> jobs_;
+  util::FlatHashMap<trace::TaskKey, TaskRun> running_tasks_;
+  util::FlatHashMap<std::int64_t, std::int64_t> host_running_;
   std::int64_t pending_ = 0;
   std::int64_t running_ = 0;
   TimeSec last_job_submit_ = -1;

@@ -13,10 +13,14 @@
 // capacity), as released Google traces are linearly scaled.
 #pragma once
 
+#include <bit>
+#include <compare>
 #include <cstdint>
+#include <limits>
 #include <string_view>
 
 #include "util/check.hpp"
+#include "util/flat_hash_map.hpp"
 #include "util/time_util.hpp"
 
 namespace cgc::trace {
@@ -136,6 +140,23 @@ struct TaskEvent {
   std::uint8_t priority = 1;
 };
 
+/// Identity of one task, (job id, task index), compared field by field:
+/// the key of per-task state tables (trace::validate's state machine
+/// check, stream::SlidingWindow's running tasks). Packing both into one
+/// 64-bit integer would merge tasks whose job ids differ by a multiple
+/// of 2^32.
+struct TaskKey {
+  std::int64_t job_id = 0;
+  std::int32_t task_index = 0;
+
+  auto operator<=>(const TaskKey&) const = default;
+};
+
+/// The key of the task `event` belongs to.
+constexpr TaskKey task_key_of(const TaskEvent& event) {
+  return {event.job_id, event.task_index};
+}
+
 /// Final per-task record (aggregated over its event history).
 struct Task {
   std::int64_t job_id = 0;
@@ -209,3 +230,25 @@ struct Machine {
 };
 
 }  // namespace cgc::trace
+
+namespace cgc::util {
+
+/// TaskKey in a FlatHashMap: equality compares both fields, so distinct
+/// tasks never share an entry. The hash code is (job << 32) ^ task with
+/// the job id's high half rotated into the low bits: ids below 2^32
+/// spread exactly as that packed key always did under the table's
+/// Fibonacci step, and ids 2^32 apart still hash apart. (Premultiplying
+/// the job id by a second odd constant measured about a fifth slower on
+/// cgcd's in-memory ingest.)
+template <>
+struct FlatHashKey<trace::TaskKey> {
+  static constexpr trace::TaskKey kEmpty{
+      static_cast<std::int64_t>(0x9e3779b97f4a7c15ULL),
+      std::numeric_limits<std::int32_t>::min()};
+  static std::uint64_t hash(trace::TaskKey key) {
+    return std::rotl(static_cast<std::uint64_t>(key.job_id), 32) ^
+           static_cast<std::uint32_t>(key.task_index);
+  }
+};
+
+}  // namespace cgc::util

@@ -1,10 +1,11 @@
 #include "trace/validate.hpp"
 
+#include <algorithm>
 #include <limits>
-#include <map>
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/flat_hash_map.hpp"
 
 namespace cgc::trace {
 
@@ -12,19 +13,20 @@ namespace {
 
 void check_events(const TraceSet& trace, std::vector<ValidationIssue>* out) {
   TimeSec prev = std::numeric_limits<TimeSec>::min();
-  std::map<std::pair<std::int64_t, std::int32_t>, TaskState> state;
+  // Looked up once per event and never iterated, so the table's slot
+  // order cannot reach the issue list.
+  util::FlatHashMap<TaskKey, TaskState> state;
   for (const TaskEvent& e : trace.events()) {
     if (e.time < prev) {
       out->push_back({"events not sorted by time"});
       return;
     }
     prev = e.time;
-    auto key = std::make_pair(e.job_id, e.task_index);
-    auto it = state.find(key);
-    const TaskState current =
-        it == state.end() ? TaskState::kUnsubmitted : it->second;
+    // A new entry value-initializes to kUnsubmitted.
+    TaskState& slot = *state.try_emplace(task_key_of(e)).first;
+    const TaskState current = slot;
     try {
-      state[key] = apply_event(current, e.type);
+      slot = apply_event(current, e.type);
     } catch (const util::Error& err) {
       std::ostringstream oss;
       oss << "illegal event " << event_name(e.type) << " for task "
@@ -32,7 +34,7 @@ void check_events(const TraceSet& trace, std::vector<ValidationIssue>* out) {
           << state_name(current) << " at t=" << e.time;
       out->push_back({oss.str()});
       // Resynchronize so one bad task doesn't cascade.
-      state[key] = TaskState::kDead;
+      slot = TaskState::kDead;
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -43,7 +44,10 @@ double parse_double(std::string_view field) {
   double value = 0.0;
   const auto [ptr, ec] =
       std::from_chars(field.data(), field.data() + field.size(), value);
-  CGC_CHECK_MSG(ec == std::errc() && ptr == field.data() + field.size(),
+  // from_chars also accepts nan, inf and infinity; no trace field means
+  // those, and a NaN would poison every sort and sum downstream.
+  CGC_CHECK_MSG(ec == std::errc() && ptr == field.data() + field.size() &&
+                    std::isfinite(value),
                 "bad double field: '" + std::string(field) + "'");
   return value;
 }

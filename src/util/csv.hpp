@@ -151,7 +151,8 @@ inline bool try_parse_int(std::string_view field, std::int64_t* out) {
   return true;
 }
 
-/// Parses a double field; throws cgc::util::Error on garbage.
+/// Parses a finite double field; throws cgc::util::Error on garbage and
+/// on nan/inf/infinity (which std::from_chars would accept).
 double parse_double(std::string_view field);
 
 /// Parses a double field that may be empty; empty -> nullopt.

@@ -88,8 +88,9 @@ TEST(Determinism, AutocorrelationIsThreadCountInvariant) {
 TEST(Determinism, MassCountIsThreadCountInvariant) {
   const std::vector<double> sample = make_sample(90000, 99);
   const auto [serial, parallel] = serial_vs_parallel([&sample] {
-    const auto result = stats::mass_count_disparity(sample);
-    auto plot = stats::mass_count_plot(sample);
+    const stats::MassCount mc(sample);
+    const auto result = mc.disparity();
+    auto plot = mc.plot();
     plot.push_back({result.joint_ratio_mass, result.joint_ratio_count,
                     result.mm_distance});
     return plot;

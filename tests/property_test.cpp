@@ -161,7 +161,7 @@ TEST_P(MassCountIdentityProperty, CrossoverIdentity) {
     }
     sample.push_back(v);
   }
-  const auto r = stats::mass_count_disparity(sample);
+  const auto r = stats::MassCount(sample).disparity();
   // The discrete crossover overshoots 100 by at most one item's count
   // step plus one item's mass share (a single huge value can carry a
   // large fraction of the total mass).

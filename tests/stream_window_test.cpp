@@ -3,8 +3,7 @@
 // workload within the sketch error bound, bit-identical state across
 // CGC_THREADS, deterministic degradation under fault injection, and
 // golden digests of every closed window's state on a fixed stream (in
-// memory and through the daemon's text pipe), and a randomized model
-// check of the FlatHashMap behind the engine's stream state.
+// memory and through the daemon's text pipe).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,11 +12,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <regex>
 #include <sstream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/parallel.hpp"
@@ -25,7 +22,6 @@
 #include "gen/google_model.hpp"
 #include "stats/ecdf.hpp"
 #include "stream/daemon.hpp"
-#include "stream/flat_hash_map.hpp"
 #include "stream/replay.hpp"
 #include "stream/window.hpp"
 #include "trace/google_format.hpp"
@@ -129,6 +125,43 @@ TEST(SlidingWindowTest, TumblingWindowLifecycleAndMetrics) {
   EXPECT_EQ(w1->running_at_close, 0);
   EXPECT_EQ(w1->hosts_seen, 0);
   EXPECT_FALSE(engine.health().lossy());
+}
+
+TEST(SlidingWindowTest, TasksOfJobsTwoToThe32ApartRunApart) {
+  // Job ids 2^32 apart (and task index -1 beside 0) are four distinct
+  // tasks. A running-task key that packs (job << 32) ^ task into 64 bits
+  // merges each pair: the second SCHEDULE overwrites the first run, one
+  // task-length sample is lost, and its FINISH counts as a pending death.
+  WindowConfig config;
+  config.width = 100;
+  config.watermark_lag = 10;
+  SlidingWindow engine(config);
+  const std::int64_t a = 5;
+  const std::int64_t b = a + (std::int64_t{1} << 32);
+  engine.ingest(std::vector<TaskEvent>{
+      make_event(1, TaskEventType::kSubmit, a, 0),
+      make_event(1, TaskEventType::kSubmit, b, 0),
+      make_event(1, TaskEventType::kSubmit, a, -1),
+      make_event(1, TaskEventType::kSubmit, b, -1),
+      make_event(3, TaskEventType::kSchedule, a, 0, 1, 1),
+      make_event(4, TaskEventType::kSchedule, b, 0, 1, 2),
+      make_event(5, TaskEventType::kSchedule, a, -1, 1, 3),
+      make_event(6, TaskEventType::kSchedule, b, -1, 1, 4),
+      make_event(30, TaskEventType::kFinish, a, 0, 1, 1),
+      make_event(40, TaskEventType::kFinish, b, 0, 1, 2),
+      make_event(50, TaskEventType::kFinish, a, -1, 1, 3),
+      make_event(60, TaskEventType::kFinish, b, -1, 1, 4),
+  });
+  engine.flush();
+  const WindowStats* w0 = engine.find(0);
+  ASSERT_NE(w0, nullptr);
+  // Run lengths 27, 36, 45 and 54 s: one sample per task.
+  ASSERT_EQ(w0->task_length.count(), 4u);
+  EXPECT_DOUBLE_EQ(w0->task_length.min(), 27.0);
+  EXPECT_DOUBLE_EQ(w0->task_length.max(), 54.0);
+  EXPECT_EQ(w0->running_at_close, 0);
+  EXPECT_EQ(w0->pending_at_close, 0);
+  EXPECT_EQ(w0->hosts_seen, 0);
 }
 
 TEST(SlidingWindowTest, OverlappingWindowsAssignEventsToEverySlide) {
@@ -486,160 +519,6 @@ TEST(SlidingWindowGoldenTest, DaemonPipeOutputAndSpillManifest) {
   }
   fs::remove_all(dir);
   EXPECT_EQ(digest, kGoldenDaemon);
-}
-
-// ---- FlatHashMap ------------------------------------------------------------
-
-/// Contents as a sorted list, for comparing against the model.
-template <typename Map>
-std::vector<std::pair<std::int64_t, std::int64_t>> sorted_contents(
-    const Map& map) {
-  std::vector<std::pair<std::int64_t, std::int64_t>> out;
-  // cgc-lint: allow(unordered-iteration) sorted right below.
-  for (const auto& [key, value] : map) {
-    out.emplace_back(key, value);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// Drives a FlatHashMap and a std::unordered_map with the same random
-/// insert / find / erase / erase_if sequence over `keys` and checks every
-/// answer and, periodically, the full contents.
-void model_check(const std::vector<std::int64_t>& keys, std::uint64_t seed,
-                 std::size_t steps) {
-  stream::FlatHashMap<std::int64_t, std::int64_t> table;
-  std::unordered_map<std::int64_t, std::int64_t> model;
-  std::uint64_t state = seed;
-  const auto draw = [&state] {
-    state += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  };
-  for (std::size_t step = 0; step < steps; ++step) {
-    const std::int64_t key = keys[draw() % keys.size()];
-    const std::uint64_t op = draw() % 100;
-    SCOPED_TRACE("step " + std::to_string(step) + " key " +
-                 std::to_string(key));
-    if (op < 40) {
-      const auto [value, inserted] = table.try_emplace(key);
-      const auto [it, model_inserted] = model.try_emplace(key, 0);
-      ASSERT_EQ(inserted, model_inserted);
-      ASSERT_EQ(*value, it->second);
-      *value += static_cast<std::int64_t>(step);
-      it->second += static_cast<std::int64_t>(step);
-    } else if (op < 70) {
-      ASSERT_EQ(table.erase(key), model.erase(key) == 1);
-    } else if (op < 99) {
-      const std::int64_t* found = table.find(key);
-      const auto it = model.find(key);
-      ASSERT_EQ(found != nullptr, it != model.end());
-      if (found != nullptr) {
-        ASSERT_EQ(*found, it->second);
-      }
-    } else {
-      const std::int64_t parity = static_cast<std::int64_t>(draw() % 2);
-      const auto pred = [parity](std::int64_t, std::int64_t v) {
-        return (v & 1) == parity;
-      };
-      table.erase_if(pred);
-      std::erase_if(model, [&](const auto& kv) {
-        return pred(kv.first, kv.second);
-      });
-    }
-    ASSERT_EQ(table.size(), model.size());
-    if (step % 512 == 0) {
-      ASSERT_EQ(sorted_contents(table), sorted_contents(model));
-    }
-  }
-  ASSERT_EQ(sorted_contents(table), sorted_contents(model));
-}
-
-TEST(FlatHashMapTest, MatchesUnorderedMapOnRandomChurn) {
-  std::vector<std::int64_t> keys;
-  for (std::int64_t k = 0; k < 3000; ++k) {
-    keys.push_back(k);
-  }
-  model_check(keys, 1, 200000);
-}
-
-TEST(FlatHashMapTest, MatchesUnorderedMapOnExtremeAndReservedKeys) {
-  // The free-slot marker, its neighbours, the int64 extremes and the
-  // task keys cgcd builds from (job << 32) ^ task.
-  const std::int64_t empty =
-      stream::FlatHashMap<std::int64_t, std::int64_t>::kEmptyKey;
-  std::vector<std::int64_t> keys = {empty,
-                                    empty - 1,
-                                    empty + 1,
-                                    0,
-                                    -1,
-                                    std::numeric_limits<std::int64_t>::min(),
-                                    std::numeric_limits<std::int64_t>::max()};
-  for (std::int64_t job = -3; job < 40; ++job) {
-    for (std::int32_t task = -1; task < 5; ++task) {
-      keys.push_back(static_cast<std::int64_t>(
-          (static_cast<std::uint64_t>(job) << 32) ^
-          static_cast<std::uint32_t>(task)));
-    }
-  }
-  model_check(keys, 2, 100000);
-}
-
-/// Keys whose home slot is one of the last few slots of a 64-slot
-/// table: their probe runs wrap past the end of the array, where a
-/// backward-shift erase must move entries from the front to the back.
-std::vector<std::int64_t> keys_homed_near_the_end(std::size_t count) {
-  std::vector<std::int64_t> keys;
-  for (std::uint64_t k = 1; keys.size() < count; ++k) {
-    const std::uint64_t slot = (k * 0x9e3779b97f4a7c15ULL) >> 58;  // of 64
-    if (slot >= 60) {
-      keys.push_back(static_cast<std::int64_t>(k));
-    }
-  }
-  return keys;
-}
-
-TEST(FlatHashMapTest, BackwardShiftEraseAcrossTheWrapAround) {
-  // 20 keys all homed in slots 60-63 of a 64-slot table (the capacity
-  // while 24 < size <= 48): their run covers slots 60..63 and 0..15.
-  const std::vector<std::int64_t> keys = keys_homed_near_the_end(20);
-  stream::FlatHashMap<std::int64_t, std::int64_t> table;
-  // Fill to 25 entries with unrelated keys first so the table has 64
-  // slots, then erase those again.
-  for (std::int64_t k = 0; k < 25; ++k) {
-    table[-1000 - k] = k;
-  }
-  for (std::int64_t k = 0; k < 25; ++k) {
-    ASSERT_TRUE(table.erase(-1000 - k));
-  }
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    table[keys[i]] = static_cast<std::int64_t>(i);
-  }
-  // Erase every other key, front of the run first, checking the rest
-  // stay reachable after each erase.
-  for (std::size_t i = 0; i < keys.size(); i += 2) {
-    ASSERT_TRUE(table.erase(keys[i]));
-    for (std::size_t j = 0; j < keys.size(); ++j) {
-      const std::int64_t* v = table.find(keys[j]);
-      if (j % 2 == 0 && j <= i) {
-        ASSERT_EQ(v, nullptr) << j;
-      } else {
-        ASSERT_NE(v, nullptr) << j;
-        ASSERT_EQ(*v, static_cast<std::int64_t>(j));
-      }
-    }
-  }
-  ASSERT_EQ(table.size(), keys.size() / 2);
-  // erase_if across the wrap: drop the rest but one.
-  table.erase_if([&](std::int64_t key, std::int64_t) {
-    return key != keys[keys.size() - 1];
-  });
-  ASSERT_EQ(table.size(), 1u);
-  ASSERT_NE(table.find(keys.back()), nullptr);
-  // And a randomized run over the same wrap-heavy key set.
-  model_check(keys_homed_near_the_end(24), 3, 50000);
 }
 
 }  // namespace

@@ -186,6 +186,103 @@ TEST_F(TolerantParseTest, IoFaultPropagatesEvenWhenTolerant) {
   EXPECT_EQ(loaded.parse.lines_bad, 0u);
 }
 
+// ---- non-finite numeric fields -------------------------------------------
+
+// std::from_chars accepts these; no trace field means them, so each is a
+// bad field like any other garbage.
+constexpr const char* kNonFinite[] = {"nan", "inf", "-infinity", "NAN"};
+
+/// Loads `path` tolerant (one bad line counted at `bad_line`, `good`
+/// records kept) and strict (util::Error naming path:bad_line).
+void expect_one_bad_line(const std::string& path, LoadOptions options,
+                         std::size_t bad_line, std::size_t good) {
+  options.strictness = Strictness::kTolerant;
+  LoadReport loaded;
+  load_trace(path, options, &loaded);
+  EXPECT_EQ(loaded.parse.lines_bad, 1u);
+  EXPECT_EQ(loaded.parse.records_ok, good);
+  ASSERT_EQ(loaded.parse.samples.size(), 1u);
+  const std::string& sample = loaded.parse.samples[0];
+  EXPECT_NE(sample.find(":" + std::to_string(bad_line) + ":"),
+            std::string::npos)
+      << sample;
+  EXPECT_NE(sample.find("bad double field"), std::string::npos) << sample;
+
+  options.strictness = Strictness::kStrict;
+  try {
+    load_trace(path, options);
+    FAIL() << "expected a parse error";
+  } catch (const util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(":" + std::to_string(bad_line) + ":"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(TolerantParseTest, SwfNonFiniteFieldIsABadLine) {
+  for (const std::string token : kNonFinite) {
+    SCOPED_TRACE(token);
+    // Field 3 is the run time.
+    const std::string p = write_file(
+        "nf.swf", "; header\n" + swf_row(1) + "2 100 5 " + token +
+                      " 4 -1 1024 4 -1 -1 1 7 -1 -1 -1 -1 -1 -1\n" +
+                      swf_row(3));
+    expect_one_bad_line(p, swf(Strictness::kTolerant), 3, 2);
+  }
+}
+
+TEST_F(TolerantParseTest, GwaNonFiniteFieldIsABadLine) {
+  for (const std::string token : kNonFinite) {
+    SCOPED_TRACE(token);
+    // Field 6 is the used memory.
+    const std::string p = write_file(
+        "nf.gwf", "1 100 5 60.0 4 -1 1024 4 -1 -1 1\n"
+                  "2 100 5 60.0 4 -1 " + token + " 4 -1 -1 1\n"
+                  "3 200 5 60.0 4 -1 1024 4 -1 -1 1\n");
+    expect_one_bad_line(p,
+                        {.format = TraceFormat::kGwa, .system_name = "gwa"},
+                        2, 2);
+  }
+}
+
+/// A Google trace directory with one task event and the given
+/// machine_events and host_usage contents.
+std::string write_google_dir(const std::filesystem::path& dir,
+                             const std::string& machine_events,
+                             const std::string& host_usage) {
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir / "task_events.csv") << "1000000,,1,0,5,0,,0,3,,,,\n";
+  std::ofstream(dir / "machine_events.csv") << machine_events;
+  std::ofstream(dir / "host_usage.csv") << host_usage;
+  return dir.string();
+}
+
+LoadOptions google() {
+  return {.format = TraceFormat::kGoogleCsv, .system_name = "google"};
+}
+
+TEST_F(TolerantParseTest, GoogleMachineEventsNonFiniteFieldIsABadLine) {
+  for (const std::string token : kNonFinite) {
+    SCOPED_TRACE(token);
+    // Field 4 is the CPU capacity. One task event plus one machine parse.
+    const std::string d = write_google_dir(
+        dir_ / "me", "0,1,0,,0.5,0.5\n0,2,0,," + token + ",0.5\n", "");
+    expect_one_bad_line(d, google(), 2, 2);
+  }
+}
+
+TEST_F(TolerantParseTest, GoogleHostUsageNonFiniteFieldIsABadLine) {
+  for (const std::string token : kNonFinite) {
+    SCOPED_TRACE(token);
+    // Field 2 is the low-band CPU usage.
+    const std::string d = write_google_dir(
+        dir_ / "hu", "0,1,0,,0.5,0.5\n",
+        "1,0,0.1,0,0,0.1,0,0,0.2,0.1,1,0\n"
+        "1,300," + token + ",0,0,0.1,0,0,0.2,0.1,1,0\n");
+    expect_one_bad_line(d, google(), 2, 3);
+  }
+}
+
 TEST_F(TolerantParseTest, ReportMergeAggregates) {
   ParseReport a;
   a.records_ok = 5;

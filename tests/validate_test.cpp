@@ -2,6 +2,11 @@
 // corruption is caught.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "trace/validate.hpp"
 #include "util/check.hpp"
 
@@ -186,6 +191,50 @@ TEST(Validate, NegativeQueueCountCaught) {
   trace.add_host_load(std::move(h));
   trace.finalize();
   EXPECT_FALSE(validate(trace).empty());
+}
+
+TEST(Validate, TasksThatPackedKeysWouldMergeAreTrackedApart) {
+  // Job ids 2^32 apart, and task index -1 beside 0: four tasks that a
+  // (job << 32) ^ task key folds into two. Their lifecycles interleave,
+  // so a merged state would see a second SUBMIT while pending.
+  const std::int64_t a = 7;
+  const std::int64_t b = a + (std::int64_t{1} << 32);
+  const std::pair<std::int64_t, std::int32_t> tasks[] = {
+      {a, 0}, {b, 0}, {a, -1}, {b, -1}};
+  const auto illegal = [](const TraceSet& trace) {
+    std::vector<std::string> out;
+    for (const ValidationIssue& issue : validate(trace)) {
+      if (issue.message.find("illegal event") != std::string::npos) {
+        out.push_back(issue.message);
+      }
+    }
+    return out;
+  };
+
+  TraceSet trace("colliding-keys");
+  TraceSet with_bad_finish("colliding-keys-bad");
+  TimeSec t = 0;
+  for (const TaskEventType type :
+       {TaskEventType::kSubmit, TaskEventType::kSchedule,
+        TaskEventType::kFinish}) {
+    for (const auto& [job, task] : tasks) {
+      const TaskEvent e{++t, job, task,
+                        type == TaskEventType::kSubmit ? -1 : 1, type, 1};
+      trace.add_event(e);
+      with_bad_finish.add_event(e);
+    }
+  }
+  // A second FINISH for b/-1 is illegal for that task alone.
+  with_bad_finish.add_event({++t, b, -1, 1, TaskEventType::kFinish, 1});
+  trace.finalize();
+  with_bad_finish.finalize();
+
+  EXPECT_TRUE(illegal(trace).empty());
+  const std::vector<std::string> issues = illegal(with_bad_finish);
+  ASSERT_EQ(issues.size(), 1u);
+  const std::string task = "task " + std::to_string(b) + "/-1";
+  EXPECT_NE(issues[0].find(task + " in state DEAD"), std::string::npos)
+      << issues[0];
 }
 
 TEST(ValidateOrThrow, MessageListsIssues) {

@@ -10,7 +10,7 @@ lint-time errors:
 
   nondeterminism       banned wall-clock/PRNG/pointer-order constructs
   unordered-iteration  range-for over std::unordered_{map,set} or
-                       stream::FlatHashMap values
+                       util::FlatHashMap values
   site-registry        fault/metric site strings: code <-> README table
                        <-> DESIGN.md <-> at least one test, both ways
   exit-taxonomy        exit codes outside 0..3, raw `throw std::...`
