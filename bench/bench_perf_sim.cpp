@@ -37,32 +37,6 @@ using namespace cgc;
 
 constexpr double kTargetSpeedup = 5.0;
 
-/// Resets the kernel's peak-RSS watermark for this process; returns
-/// false (and leaves the watermark cumulative) where unsupported.
-bool reset_peak_rss() {
-  std::ofstream clear("/proc/self/clear_refs");
-  if (!clear.is_open()) {
-    return false;
-  }
-  clear << "5";
-  return clear.good();
-}
-
-/// VmHWM in MB, or 0 when /proc is unavailable.
-double peak_rss_mb() {
-  std::ifstream status("/proc/self/status");
-  std::string key;
-  while (status >> key) {
-    if (key == "VmHWM:") {
-      double kb = 0;
-      status >> kb;
-      return kb / 1024.0;
-    }
-    status.ignore(4096, '\n');
-  }
-  return 0.0;
-}
-
 double now_wall(const std::chrono::steady_clock::time_point& start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
@@ -85,7 +59,7 @@ ScaleResult run_paper_scale(const std::vector<trace::Machine>& machines,
                             std::size_t threads) {
   ScaleResult r;
   r.threads = threads;
-  r.rss_isolated = reset_peak_rss();
+  r.rss_isolated = bench::reset_peak_rss();
   util::ThreadPool pool(threads);
   exec::ScopedPool scoped(&pool);
   sim::ClusterSim sim(machines, config);
@@ -94,7 +68,7 @@ ScaleResult run_paper_scale(const std::vector<trace::Machine>& machines,
   r.wall_s = now_wall(start);
   r.events_processed = sim.stats().events_processed;
   r.events_per_sec = static_cast<double>(r.events_processed) / r.wall_s;
-  r.peak_rss_mb = peak_rss_mb();
+  r.peak_rss_mb = bench::peak_rss_mb();
   r.digest = out.content_digest();
   return r;
 }

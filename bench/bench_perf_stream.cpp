@@ -50,32 +50,6 @@ constexpr char kThreadCaveat[] =
     "are small shared VMs (1 core on the reference box; see "
     "hardware_concurrency)";
 
-/// Resets the kernel's peak-RSS watermark for this process; returns
-/// false (and leaves the watermark cumulative) where unsupported.
-bool reset_peak_rss() {
-  std::ofstream clear("/proc/self/clear_refs");
-  if (!clear.is_open()) {
-    return false;
-  }
-  clear << "5";
-  return clear.good();
-}
-
-/// VmHWM in MB, or 0 when /proc is unavailable.
-double peak_rss_mb() {
-  std::ifstream status("/proc/self/status");
-  std::string key;
-  while (status >> key) {
-    if (key == "VmHWM:") {
-      double kb = 0;
-      status >> kb;
-      return kb / 1024.0;
-    }
-    status.ignore(4096, '\n');
-  }
-  return 0.0;
-}
-
 struct RunResult {
   std::size_t threads = 0;
   double wall_s = 0;
@@ -103,7 +77,7 @@ void finish_run(const stream::SlidingWindow& engine,
   const obs::Histogram& close = obs::histogram("stream.window_close_ns");
   result->close_ns_mean = close.mean();
   result->close_ns_p99 = close.approx_percentile(0.99);
-  result->peak_rss_mb = peak_rss_mb();
+  result->peak_rss_mb = bench::peak_rss_mb();
   if (const stream::WindowStats* latest = engine.latest()) {
     latest->append_state(&result->latest_state);
   }
@@ -113,7 +87,7 @@ RunResult run_ingest(std::span<const trace::TaskEvent> events,
                      std::size_t threads) {
   RunResult result;
   result.threads = threads;
-  result.rss_isolated = reset_peak_rss();
+  result.rss_isolated = bench::reset_peak_rss();
   obs::reset_metrics();
 
   util::ThreadPool pool(threads);
@@ -137,7 +111,7 @@ RunResult run_ingest(std::span<const trace::TaskEvent> events,
 RunResult run_pipe(const std::string& rows_path, std::size_t threads) {
   RunResult result;
   result.threads = threads;
-  result.rss_isolated = reset_peak_rss();
+  result.rss_isolated = bench::reset_peak_rss();
   obs::reset_metrics();
 
   util::ThreadPool pool(threads);

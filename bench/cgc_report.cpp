@@ -59,7 +59,6 @@
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -528,8 +527,7 @@ int run_spawn(int num_shards, const std::string& only_csv,
     // Side file for CI/operators: respawn counts prove the kill matrix
     // actually killed something. Not part of the merged artifact.
     {
-      std::ofstream side(config.out_root + "/supervisor.json",
-                         std::ios::trunc);
+      std::ostringstream side;
       side << "{\"shards\": " << sup.shards.size()
            << ", \"respawns\": " << sup.respawns << ", \"workers\": [";
       for (std::size_t i = 0; i < sup.shards.size(); ++i) {
@@ -542,6 +540,8 @@ int run_spawn(int num_shards, const std::string& only_csv,
              << "}";
       }
       side << "]}\n";
+      cgc::sweep::write_file_atomic(config.out_root + "/supervisor.json",
+                                    side.str());
     }
     std::vector<std::string> dirs;
     for (const cgc::sweep::ShardStatus& s : sup.shards) {
@@ -687,8 +687,7 @@ int run(int argc, char** argv) {
   sweep.report.threads = cgc::exec::num_workers();
   sweep.report.fault_spec = cgc::fault::active_spec();
   if (shard.has_value()) {
-    sweep.report.shard_index = shard->index;
-    sweep.report.shard_total = shard->total;
+    sweep.report.shard = *shard;
   }
 
   // The worker lease: held for the whole sweep, heartbeat-refreshed
@@ -711,13 +710,11 @@ int run(int argc, char** argv) {
     SweepReport prior;
     std::vector<std::string> recorded;
     switch (cgc::sweep::read_report_checked(sweep.report_path, &prior)) {
-      case cgc::sweep::ReportReadStatus::kOk:
-        if (prior.shard_total != sweep.report.shard_total ||
-            prior.shard_index != sweep.report.shard_index) {
+      case cgc::sweep::ReadStatus::kOk:
+        if (prior.shard != sweep.report.shard) {
           throw cgc::util::DataError(
               "resume: " + sweep.report_path + " was written by shard " +
-              std::to_string(prior.shard_index) + "/" +
-              std::to_string(prior.shard_total) +
+              prior.shard.str() +
               ", not this worker's partition — wrong checkpoint dir?");
         }
         for (const CaseRecord& r : prior.cases) {
@@ -726,11 +723,11 @@ int run(int argc, char** argv) {
           }
         }
         break;
-      case cgc::sweep::ReportReadStatus::kMissing:
+      case cgc::sweep::ReadStatus::kMissing:
         std::printf("resume: no %s; running everything\n",
                     sweep.report_path.c_str());
         break;
-      case cgc::sweep::ReportReadStatus::kCorrupt:
+      case cgc::sweep::ReadStatus::kCorrupt:
         // Silently re-running everything would hide that a previous
         // sweep died mid-write; make the operator decide.
         throw cgc::util::DataError(

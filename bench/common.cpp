@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -274,6 +275,29 @@ void note_parse(const trace::ParseReport& report) {
 IoHealth io_health() {
   std::lock_guard lock(g_health_mutex);
   return g_health;
+}
+
+bool reset_peak_rss() {
+  std::ofstream clear("/proc/self/clear_refs");
+  if (!clear.is_open()) {
+    return false;
+  }
+  clear << "5";
+  return clear.good();
+}
+
+double peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmHWM:") {
+      double kb = 0;
+      status >> kb;
+      return kb / 1024.0;
+    }
+    status.ignore(4096, '\n');
+  }
+  return 0.0;
 }
 
 }  // namespace cgc::bench

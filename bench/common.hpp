@@ -114,4 +114,11 @@ void note_parse(const trace::ParseReport& report);
 /// Snapshot of the process-wide degraded-operation accounting.
 IoHealth io_health();
 
+/// Resets the kernel's peak-RSS watermark for this process; returns
+/// false (and leaves the watermark cumulative) where unsupported.
+bool reset_peak_rss();
+
+/// VmHWM (peak resident set) in MB, or 0 when /proc is unavailable.
+double peak_rss_mb();
+
 }  // namespace cgc::bench

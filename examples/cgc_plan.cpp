@@ -24,13 +24,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "plan/matrix.hpp"
 #include "plan/plan_io.hpp"
 #include "plan/runner.hpp"
+#include "sweep/journal.hpp"
 #include "sweep/partition.hpp"
 #include "util/args.hpp"
 #include "util/check.hpp"
@@ -91,15 +91,16 @@ std::vector<cgc::plan::ShardResults> collect_shards(
   std::vector<cgc::plan::ShardResults> shards;
   for (const std::string& path : paths) {
     cgc::plan::ShardResults shard;
-    switch (cgc::plan::read_results(path, matrix, &shard)) {
-      case cgc::plan::ReadStatus::kOk:
-        shards.push_back(std::move(shard));
-        break;
-      case cgc::plan::ReadStatus::kMissing:
-        break;  // deleted between listing and reading; merge will notice
-      case cgc::plan::ReadStatus::kCorrupt:
-        throw cgc::util::TransientError(
-            "--merge: torn checkpoint " + path + "; rerun that shard");
+    const cgc::sweep::ReadStatus status =
+        cgc::plan::read_results(path, matrix, &shard);
+    if (status == cgc::sweep::ReadStatus::kCorrupt) {
+      throw cgc::util::TransientError("--merge: torn or unreadable "
+                                      "checkpoint " + path +
+                                      "; rerun that shard");
+    }
+    // kMissing: deleted between listing and reading; merge will notice.
+    if (status == cgc::sweep::ReadStatus::kOk) {
+      shards.push_back(std::move(shard));
     }
   }
   return shards;
@@ -113,15 +114,7 @@ std::size_t emit_plan(const ScenarioMatrix& matrix,
   const std::string json = cgc::plan::render_plan_json(matrix, results);
   std::filesystem::create_directories(out_dir);
   const std::string path = out_dir + "/plan.json";
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out.write(json.data(), static_cast<std::streamsize>(json.size()));
-    if (!out.good()) {
-      throw cgc::util::TransientError("cannot write " + tmp);
-    }
-  }
-  std::filesystem::rename(tmp, path);
+  cgc::sweep::write_file_atomic(path, json);
 
   std::size_t failed = 0;
   for (const ScenarioResult& r : results) {

@@ -4,13 +4,9 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <optional>
 #include <sstream>
 #include <unordered_map>
 
-#include "store/encoding.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
@@ -88,10 +84,11 @@ void score_from_values(const double in[17], ScenarioScore* s) {
   s->usd_per_slo = in[16];
 }
 
-std::uint32_t content_crc(const std::string& content) {
-  return store::crc32(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(content.data()),
-      content.size()));
+/// The checkpoint's closing line: "end <crc32 of all bytes before it>".
+std::string seal_line(std::string_view content) {
+  char line[16];
+  std::snprintf(line, sizeof(line), "end %08x\n", sweep::crc32_of(content));
+  return line;
 }
 
 /// JSON fragment for one score (plan.json display precision).
@@ -154,50 +151,28 @@ void write_results(const std::string& path, const ShardResults& results) {
       content += " 0 " + error + "\n";
     }
   }
-  char crc_hex[12];
-  std::snprintf(crc_hex, sizeof(crc_hex), "%08x", content_crc(content));
-  content += "end ";
-  content += crc_hex;
-  content += '\n';
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out || !(out << content) || !out.flush()) {
-      throw util::TransientError("cannot write " + tmp);
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    throw util::TransientError("cannot rename " + tmp + " -> " + path +
-                               ": " + ec.message());
-  }
+  content += seal_line(content);
+  sweep::write_file_atomic(path, content);
 }
 
-ReadStatus read_results(const std::string& path, const ScenarioMatrix& matrix,
-                        ShardResults* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return ReadStatus::kMissing;
+sweep::ReadStatus read_results(const std::string& path,
+                               const ScenarioMatrix& matrix,
+                               ShardResults* out) {
+  using sweep::ReadStatus;
+  std::string raw;
+  const ReadStatus status = sweep::read_file(path, &raw);
+  if (status != ReadStatus::kOk) {
+    return status;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string raw = buf.str();
 
   // The file must end with a sealed "end <crc>\n" line over everything
   // before it; anything else is a torn write.
   const std::string::size_type tail = raw.rfind("end ");
-  if (tail == std::string::npos || raw.empty() || raw.back() != '\n' ||
-      (tail != 0 && raw[tail - 1] != '\n')) {
+  if (tail == std::string::npos || (tail != 0 && raw[tail - 1] != '\n')) {
     return ReadStatus::kCorrupt;
   }
   const std::string content = raw.substr(0, tail);
-  const std::string crc_line = raw.substr(tail + 4);
-  char expected_hex[12];
-  std::snprintf(expected_hex, sizeof(expected_hex), "%08x",
-                content_crc(content));
-  if (crc_line != std::string(expected_hex) + "\n") {
+  if (raw.compare(tail, std::string::npos, seal_line(content)) != 0) {
     return ReadStatus::kCorrupt;
   }
 
@@ -297,48 +272,35 @@ ReadStatus read_results(const std::string& path, const ScenarioMatrix& matrix,
 std::vector<ScenarioResult> merge_results(
     const ScenarioMatrix& matrix, const std::vector<ShardResults>& shards) {
   const std::uint64_t digest = matrix.digest();
-  std::vector<std::optional<ScenarioResult>> slots(matrix.scenarios.size());
-  std::unordered_map<std::string, std::size_t> index;
-  index.reserve(matrix.scenarios.size());
-  for (std::size_t i = 0; i < matrix.scenarios.size(); ++i) {
-    index.emplace(scenario_id(matrix.scenarios[i]), i);
-  }
-
-  for (const ShardResults& shard : shards) {
-    if (shard.matrix_digest != digest) {
-      throw util::DataError(
-          "merge conflict: shard " + shard.shard.str() +
-          " was produced by a different matrix (digest mismatch)");
-    }
+  std::vector<sweep::ShardClaim> claims(shards.size());
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    const ShardResults& shard = shards[i];
+    sweep::ShardClaim& claim = claims[i];
+    claim.name = "shard " + shard.shard.str() + " (input " +
+                 std::to_string(i) + ")";
+    claim.stamp = shard.shard;
     if (!shard.complete) {
-      throw util::TransientError("shard " + shard.shard.str() +
-                                 " is incomplete — rerun it, then merge");
+      claim.unfinished = "incomplete";
+    }
+    if (shard.matrix_digest != digest) {
+      claim.foreign = "produced by a different matrix (digest mismatch)";
     }
     for (const ScenarioResult& r : shard.results) {
-      if (!sweep::owns(shard.shard, r.id)) {
-        throw util::DataError("merge conflict: shard " + shard.shard.str() +
-                              " reports scenario " + r.id +
-                              " it does not own");
-      }
-      const std::size_t slot = index.at(r.id);
-      if (slots[slot].has_value()) {
-        throw util::DataError("merge conflict: scenario " + r.id +
-                              " appears in more than one shard");
-      }
-      slots[slot] = r;
+      claim.ids.push_back(r.id);
     }
   }
-
+  std::vector<std::string> expected;
+  expected.reserve(matrix.scenarios.size());
+  for (const ScenarioSpec& spec : matrix.scenarios) {
+    expected.push_back(scenario_id(spec));
+  }
   std::vector<ScenarioResult> all;
-  all.reserve(slots.size());
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (!slots[i].has_value()) {
-      throw util::TransientError(
-          "merge incomplete: scenario " +
-          scenario_id(matrix.scenarios[i]) +
-          " is missing — run its shard, then merge again");
-    }
-    all.push_back(std::move(*slots[i]));
+  all.reserve(expected.size());
+  for (const sweep::Claim& c :
+       sweep::check_claims(claims, expected, /*allow_partial=*/false,
+                           nullptr)) {
+    all.push_back(
+        shards[static_cast<std::size_t>(c.shard)].results[c.record]);
   }
   return all;
 }

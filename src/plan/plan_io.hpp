@@ -4,8 +4,8 @@
 //
 //   * The shard checkpoint (`plan-shard-<i>-of-<N>.cgcp`) — one line
 //     per finished scenario, stamped with the matrix digest and shard
-//     spec, rewritten atomically (tmp + rename) after every batch and
-//     sealed with a CRC line. Scores are printed with 17 significant
+//     spec, rewritten with sweep::write_file_atomic after every batch
+//     and sealed with a CRC line. Scores are printed with 17 significant
 //     digits, so a double round-trips bit-exactly: merging shard files
 //     yields the same bytes in plan.json as a single-process run.
 //   * plan.json — the canonical artifact: every scenario in matrix
@@ -14,11 +14,10 @@
 //     no hostnames, no wall-clock), so it is byte-identical at any
 //     CGC_THREADS and across sharded vs single-process execution.
 //
-// Merge conflict taxonomy follows cgc::sweep (DESIGN.md §14): digest
-// disagreement or overlapping scenario ownership is a DataError (exit
-// 2 — the inputs are from different experiments); a torn or missing
-// checkpoint is a TransientError (exit 1 — rerun the shard and merge
-// again).
+// The merge's ownership verdict is sweep::check_claims (journal.hpp): a
+// foreign matrix digest or overlapping scenario ownership is a
+// DataError (exit 2); an incomplete shard or an uncovered scenario is a
+// TransientError (exit 1 — rerun the shard and merge again).
 #pragma once
 
 #include <string>
@@ -26,6 +25,7 @@
 
 #include "plan/matrix.hpp"
 #include "plan/runner.hpp"
+#include "sweep/journal.hpp"
 
 namespace cgc::plan {
 
@@ -43,32 +43,25 @@ struct ShardResults {
   std::vector<ScenarioResult> results;
 };
 
-/// Outcome of read_results(); mirrors sweep::read_report_checked.
-enum class ReadStatus {
-  kOk,       ///< parsed and CRC-verified
-  kMissing,  ///< no file at the path
-  kCorrupt,  ///< torn write, bad CRC, or an id the matrix doesn't know
-};
-
 /// Checkpoint path for shard `spec` under `out_dir`.
 std::string shard_results_path(const std::string& out_dir,
                                const sweep::ShardSpec& spec);
 
-/// Writes a shard checkpoint atomically (tmp + rename). Throws
+/// Writes a shard checkpoint with sweep::write_file_atomic. Throws
 /// util::TransientError on I/O failure.
 void write_results(const std::string& path, const ShardResults& results);
 
-/// Reads a checkpoint back, re-attaching specs from `matrix`. A digest
-/// mismatch against `matrix` is reported as kOk with the stamped digest
-/// preserved — the caller decides whether that is a DataError (merge)
-/// or a silent restart (resume after the matrix changed).
-ReadStatus read_results(const std::string& path, const ScenarioMatrix& matrix,
-                        ShardResults* out);
+/// Reads a checkpoint back, re-attaching specs from `matrix`. kCorrupt
+/// covers an unreadable file, a torn write, a bad CRC, and an id the
+/// matrix doesn't know. A digest mismatch against `matrix` is reported
+/// as kOk with the stamped digest preserved and no results; merge and
+/// resume classify it (a DataError in both).
+sweep::ReadStatus read_results(const std::string& path,
+                               const ScenarioMatrix& matrix,
+                               ShardResults* out);
 
-/// Fuses shard checkpoints into the full result list in matrix order.
-/// Digest mismatches and overlapping ownership throw util::DataError;
-/// incomplete coverage or an incomplete shard throws
-/// util::TransientError (resumable).
+/// Fuses shard checkpoints into the full result list in matrix order,
+/// raising sweep::check_claims' taxonomy (see file comment).
 std::vector<ScenarioResult> merge_results(
     const ScenarioMatrix& matrix, const std::vector<ShardResults>& shards);
 

@@ -172,15 +172,16 @@ std::vector<ScenarioResult> PlanRunner::run() {
   }
   if (checkpointing && config_.resume) {
     ShardResults prev;
-    const ReadStatus status = read_results(path, matrix_, &prev);
-    if (status == ReadStatus::kCorrupt) {
-      // Torn checkpoint: quarantine it and start the shard over — the
-      // same loud-but-resumable policy as the sweep driver.
+    const sweep::ReadStatus status = read_results(path, matrix_, &prev);
+    if (status == sweep::ReadStatus::kCorrupt) {
+      // Torn or unreadable checkpoint: quarantine it and start the
+      // shard over. It is the shard's only state, so rerunning loses
+      // nothing but time (the sweep stops instead; DESIGN.md §14).
       const std::string quarantined = path + ".corrupt";
       std::error_code ec;
       std::filesystem::rename(path, quarantined, ec);
       CGC_LOG(kWarn) << "plan: quarantined torn checkpoint " << path;
-    } else if (status == ReadStatus::kOk) {
+    } else if (status == sweep::ReadStatus::kOk) {
       if (prev.matrix_digest != digest) {
         throw util::DataError(
             "--resume: checkpoint " + path +

@@ -1,19 +1,16 @@
 // Shard-output merge: fuse N shard dirs into the single-process
 // artifact, verifying every recorded digest on the way.
 //
-// Classification contract (the merge's whole point):
-//   * DataError  — the shards contradict each other or their own
-//     records: the same case id claimed by two dirs, a .dat whose
-//     content no longer matches its recorded CRC, a duplicate output
-//     file with different bytes, or a shard stamp from a different
-//     partition. Exit code 2 (util::kExitConflict) via
-//     error::merge_exit_code(). Nothing is trustworthy; a human (or
-//     the kill-matrix CI) must look.
-//   * TransientError — a shard is merely *unfinished*: torn or missing
-//     report, `complete: false`. Exit 1; rerun that shard with
-//     --resume and merge again. With MergeOptions::allow_partial the
-//     supervisor converts this into synthesized failed records instead
-//     (graceful degradation after a retry budget is exhausted).
+// Classification: the ownership verdict (overlap, partition mismatch,
+// unknown case, different scale; unfinished shard or uncovered case)
+// is sweep::check_claims() with its taxonomy (journal.hpp). The merge
+// adds two DataErrors of its own — a .dat whose content no longer
+// matches its recorded CRC (or a shared output file with different
+// bytes), and an already-merged report as input — both exit 2
+// (util::kExitConflict) via error::merge_exit_code(). With
+// MergeOptions::allow_partial the supervisor turns unfinished shards
+// into synthesized failed records instead (graceful degradation after
+// a retry budget is exhausted).
 //
 // Determinism: the merged report is *canonical* — cases in the
 // caller-supplied expected order, volatile fields (timings, perf,
@@ -57,12 +54,6 @@ struct MergeResult {
   std::size_t cases_missing = 0;   ///< no shard finished them
   std::vector<std::string> notes;  ///< human-readable degradations
 };
-
-/// Reduces a shard (or single-process) report to the canonical form the
-/// merge emits. Exposed so tests and CI can canonicalize a golden
-/// single-process report and diff it against a merged one.
-SweepReport canonicalize(const SweepReport& report,
-                         const std::vector<CaseMeta>& expected);
 
 /// Merges shard dirs (each holding report.json + .dat outputs) into
 /// `options.out_dir`. Throws DataError on conflicts and TransientError

@@ -25,6 +25,8 @@ struct ShardSpec {
   bool sharded() const { return total > 1; }
   /// "i/N" — the same syntax parse_shard_spec() accepts.
   std::string str() const;
+
+  bool operator==(const ShardSpec&) const = default;
 };
 
 /// Parses "i/N" (0 <= i < N, N >= 1). Throws cgc::util::FatalError on

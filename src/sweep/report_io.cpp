@@ -1,12 +1,7 @@
 #include "sweep/report_io.hpp"
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
-#include "store/encoding.hpp"
-#include "util/check.hpp"
 #include "util/json.hpp"
 
 namespace cgc::sweep {
@@ -172,60 +167,49 @@ bool parse_case(std::string_view line, CaseRecord* r) {
 }  // namespace
 
 void write_report(const SweepReport& report, const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    CGC_CHECK_MSG(out.good(), "cannot write report to " + tmp);
-    out << "{\n";
-    out << "  \"fast_mode\": " << (report.fast_mode ? "true" : "false")
-        << ",\n";
-    out << "  \"threads\": " << report.threads << ",\n";
-    out << "  \"fault_spec\": \"" << util::json_escape(report.fault_spec)
-        << "\",\n";
-    out << "  \"complete\": " << (report.complete ? "true" : "false")
-        << ",\n";
-    out << "  \"total_seconds\": " << report.total_seconds << ",\n";
-    // Shard stamp and merge marker only appear when they carry
-    // information; reports from pre-sharding sweeps parse identically.
-    if (report.shard_total > 1) {
-      out << "  \"shard_index\": " << report.shard_index << ",\n";
-      out << "  \"shard_total\": " << report.shard_total << ",\n";
-    }
-    if (report.merged) {
-      out << "  \"merged\": true,\n";
-    }
-    out << "  \"chunks_quarantined\": " << report.chunks_quarantined
-        << ",\n";
-    out << "  \"rows_lost\": " << report.rows_lost << ",\n";
-    out << "  \"values_defaulted\": " << report.values_defaulted << ",\n";
-    out << "  \"parse_lines_bad\": " << report.parse_lines_bad << ",\n";
-    out << "  \"cases\": [\n";
-    for (std::size_t i = 0; i < report.cases.size(); ++i) {
-      write_case(out, report.cases[i]);
-      out << (i + 1 < report.cases.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n";
-    out << "}\n";
-    out.flush();
-    CGC_CHECK_MSG(out.good(), "I/O error writing " + tmp);
+  std::ostringstream out;
+  out << "{\n";
+  out << "  \"fast_mode\": " << (report.fast_mode ? "true" : "false")
+      << ",\n";
+  out << "  \"threads\": " << report.threads << ",\n";
+  out << "  \"fault_spec\": \"" << util::json_escape(report.fault_spec)
+      << "\",\n";
+  out << "  \"complete\": " << (report.complete ? "true" : "false") << ",\n";
+  out << "  \"total_seconds\": " << report.total_seconds << ",\n";
+  // Shard stamp and merge marker only appear when they carry
+  // information; reports from pre-sharding sweeps parse identically.
+  if (report.shard.sharded()) {
+    out << "  \"shard_index\": " << report.shard.index << ",\n";
+    out << "  \"shard_total\": " << report.shard.total << ",\n";
   }
-  std::filesystem::rename(tmp, path);
+  if (report.merged) {
+    out << "  \"merged\": true,\n";
+  }
+  out << "  \"chunks_quarantined\": " << report.chunks_quarantined << ",\n";
+  out << "  \"rows_lost\": " << report.rows_lost << ",\n";
+  out << "  \"values_defaulted\": " << report.values_defaulted << ",\n";
+  out << "  \"parse_lines_bad\": " << report.parse_lines_bad << ",\n";
+  out << "  \"cases\": [\n";
+  for (std::size_t i = 0; i < report.cases.size(); ++i) {
+    write_case(out, report.cases[i]);
+    out << (i + 1 < report.cases.size() ? "," : "") << "\n";
+  }
+  out << "  ]\n";
+  out << "}\n";
+  write_file_atomic(path, out.str());
 }
 
-ReportReadStatus read_report_checked(const std::string& path,
-                                     SweepReport* out) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    // Distinguish "no file" (fresh sweep) from "file we cannot open"
-    // (something is there but unreadable — treat as corrupt).
-    return std::filesystem::exists(path) ? ReportReadStatus::kCorrupt
-                                         : ReportReadStatus::kMissing;
+ReadStatus read_report_checked(const std::string& path, SweepReport* out) {
+  std::string bytes;
+  const ReadStatus status = read_file(path, &bytes);
+  if (status != ReadStatus::kOk) {
+    return status;
   }
+  std::istringstream in(bytes);
   SweepReport report;
   std::string line;
   std::string last_nonempty;
-  bool saw_header = false;
-  bool in_cases = false;
+  bool in_cases = false;  // the header ends at the "cases" array
   bool bad_case_line = false;
   std::string header;
   while (std::getline(in, line)) {
@@ -235,10 +219,7 @@ ReportReadStatus read_report_checked(const std::string& path,
     if (!in_cases) {
       header += line;
       header += '\n';
-      if (line.find("\"cases\": [") != std::string::npos) {
-        in_cases = true;
-        saw_header = true;
-      }
+      in_cases = line.find("\"cases\": [") != std::string::npos;
       continue;
     }
     // One case object per line; "]" closes the array.
@@ -252,10 +233,10 @@ ReportReadStatus read_report_checked(const std::string& path,
       bad_case_line = true;
     }
   }
-  if (!saw_header || bad_case_line || last_nonempty != "}") {
+  if (!in_cases || bad_case_line || last_nonempty != "}") {
     // write_report() always ends the file with the closing "}" of the
     // top-level object; anything else is a torn write.
-    return ReportReadStatus::kCorrupt;
+    return ReadStatus::kCorrupt;
   }
   get_bool(header, "fast_mode", &report.fast_mode);
   double threads = 0.0;
@@ -266,36 +247,26 @@ ReportReadStatus read_report_checked(const std::string& path,
   get_double(header, "total_seconds", &report.total_seconds);
   double shard_index = 0.0;
   double shard_total = 1.0;
-  if (get_double(header, "shard_index", &shard_index)) {
-    report.shard_index = static_cast<int>(shard_index);
-  }
-  if (get_double(header, "shard_total", &shard_total)) {
-    report.shard_total = static_cast<int>(shard_total);
-  }
+  get_double(header, "shard_index", &shard_index);
+  get_double(header, "shard_total", &shard_total);
+  report.shard = ShardSpec{static_cast<int>(shard_index),
+                           static_cast<int>(shard_total)};
   get_bool(header, "merged", &report.merged);
   get_u64(header, "chunks_quarantined", &report.chunks_quarantined);
   get_u64(header, "rows_lost", &report.rows_lost);
   get_u64(header, "values_defaulted", &report.values_defaulted);
   get_u64(header, "parse_lines_bad", &report.parse_lines_bad);
   *out = std::move(report);
-  return ReportReadStatus::kOk;
+  return ReadStatus::kOk;
 }
 
 bool file_crc32(const std::string& path, std::uint32_t* crc,
                 std::uint64_t* size) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
+  std::string content;
+  if (read_file(path, &content) != ReadStatus::kOk) {
     return false;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) {
-    return false;
-  }
-  const std::string content = buf.str();
-  *crc = store::crc32(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(content.data()),
-      content.size()));
+  *crc = crc32_of(content);
   *size = content.size();
   return true;
 }

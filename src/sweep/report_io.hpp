@@ -1,11 +1,12 @@
 // report.json reading/writing for the cgc_report sweep driver.
 //
 // The report is both the sweep's human-readable summary and its
-// checkpoint: cgc_report rewrites it atomically (tmp + rename) after
-// every case, so a sweep killed at any point leaves a valid partial
-// report on disk, and `--resume` reads it back to skip cases whose
-// recorded .dat outputs still hash-match. One case per line keeps the
-// parser here trivial — it only ever reads what write_report() wrote.
+// checkpoint: cgc_report rewrites it through the journal's atomic
+// writer (journal.hpp) after every case, so a sweep killed at any point
+// leaves a valid partial report on disk, and `--resume` reads it back
+// to skip cases whose recorded .dat outputs still hash-match. One case
+// per line keeps the parser here trivial — it only ever reads what
+// write_report() wrote.
 //
 // Shard workers stamp their reports with `shard i/N` so --merge can
 // verify every input dir belongs to the same partition; the merged
@@ -16,6 +17,9 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "sweep/journal.hpp"
+#include "sweep/partition.hpp"
 
 namespace cgc::sweep {
 
@@ -58,9 +62,8 @@ struct SweepReport {
   double total_seconds = 0.0;
   // Sharding stamp: written by `--shard i/N` workers (total > 1) and
   // checked at merge time so dirs from different partitions cannot be
-  // silently fused. A plain single-process sweep leaves total == 1.
-  int shard_index = 0;
-  int shard_total = 1;
+  // silently fused. A plain single-process sweep leaves it 0/1.
+  ShardSpec shard;
   bool merged = false;  ///< true only on the artifact --merge writes
   // Degraded-operation accounting aggregated across the sweep (store
   // quarantines + tolerant-parse losses); all zero on a healthy run.
@@ -76,23 +79,15 @@ struct SweepReport {
   }
 };
 
-/// Writes `report` as JSON to `path` atomically: the content lands in
-/// `path + ".tmp"` first and is renamed over `path`, so readers never
-/// observe a torn file.
+/// Writes `report` as JSON to `path` with write_file_atomic(), so
+/// readers never observe a torn file.
 void write_report(const SweepReport& report, const std::string& path);
 
-/// What read_report_checked() found at the path.
-enum class ReportReadStatus {
-  kOk,       ///< parsed; `out` is filled
-  kMissing,  ///< no file — a fresh sweep
-  kCorrupt,  ///< file exists but is not a complete report we wrote
-};
-
 /// Parses a report written by write_report(), distinguishing "no file"
-/// from "file exists but is truncated/unparseable" so --resume can fail
-/// loudly on a torn report instead of silently re-running.
-ReportReadStatus read_report_checked(const std::string& path,
-                                     SweepReport* out);
+/// from "file exists but is unreadable, truncated or unparseable"
+/// (kCorrupt) so --resume can fail loudly on a torn report instead of
+/// silently re-running.
+ReadStatus read_report_checked(const std::string& path, SweepReport* out);
 
 /// CRC-32 + size of a file's content (.dat series are small enough to
 /// read whole). Returns false when the file cannot be read.

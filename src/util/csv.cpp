@@ -52,16 +52,9 @@ double parse_double(std::string_view field) {
   return value;
 }
 
-std::optional<double> parse_optional_double(std::string_view field) {
-  if (field.empty()) {
-    return std::nullopt;
-  }
-  return parse_double(field);
-}
-
 void throw_parse_error(const std::string& path, std::size_t line_number,
                        const std::string& what) {
-  throw Error(path + ":" + std::to_string(line_number) + ": " + what);
+  throw DataError(path + ":" + std::to_string(line_number) + ": " + what);
 }
 
 LineReader::LineReader(std::istream& in)

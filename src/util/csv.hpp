@@ -12,7 +12,6 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <optional>
 #include <streambuf>
 #include <string>
 #include <string_view>
@@ -155,13 +154,11 @@ inline bool try_parse_int(std::string_view field, std::int64_t* out) {
 /// on nan/inf/infinity (which std::from_chars would accept).
 double parse_double(std::string_view field);
 
-/// Parses a double field that may be empty; empty -> nullopt.
-std::optional<double> parse_optional_double(std::string_view field);
-
-/// Throws cgc::util::Error with "path:line: what". Format readers wrap
-/// field-level failures with this so a truncated or garbled record (for
-/// example a final row cut off mid-write) reports the offending row
-/// instead of a bare field message.
+/// Throws cgc::util::DataError with "path:line: what". Format readers
+/// wrap field-level failures with this so a truncated or garbled record
+/// (for example a final row cut off mid-write) reports the offending
+/// row instead of a bare field message, in the bad-input class that
+/// callers such as plan::PlanRunner tell apart from program errors.
 [[noreturn]] void throw_parse_error(const std::string& path,
                                     std::size_t line_number,
                                     const std::string& what);

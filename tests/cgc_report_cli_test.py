@@ -8,7 +8,8 @@ Checks the exit taxonomy of the flag parser (--help is 0; a malformed
 that --list prints every case, and one end-to-end fast-scale run of
 two cases (a workload figure and a host-load table) in a private
 output and cache dir: exit 0, a complete report.json, and every output
-file the report records present on disk.
+file the report records present on disk; then --resume over a torn
+report.json exits 1 naming it.
 """
 
 import json
@@ -77,6 +78,18 @@ def main():
         assert all(name.endswith(".dat") for name in fig03), fig03
         # tab02 prints its table to stdout; it writes no series.
         assert "Table II" in result.stdout, result.stdout
+
+        # A torn checkpoint stops --resume (exit 1) instead of being
+        # silently rerun: the operator decides what the dead sweep left.
+        report_path = os.path.join(out_dir, "report.json")
+        with open(report_path, "rb") as f:
+            sealed = f.read()
+        with open(report_path, "wb") as f:
+            f.write(sealed[: len(sealed) // 2])
+        torn = run(exe, ["--only", "fig03,tab02", "--resume"], env=env)
+        assert torn.returncode == 1, (
+            f"torn resume exit {torn.returncode}\n{torn.stderr}")
+        assert "truncated or unparseable" in torn.stderr, torn.stderr
 
     print("cgc_report_cli: ok")
 

@@ -1,16 +1,17 @@
 // Tests for the crash-tolerant sweep sharding layer (cgc::sweep):
 // deterministic partitioning, flock leases + stale-state quarantine,
-// the shared single-writer trace cache, the verified shard merge with
-// its DataError/TransientError classification, and the supervisor's
-// exit-code triage. The end-to-end kill-and-resume invariant (SIGKILL
-// workers at random, resume, merge, diff against a single-process run)
-// lives in CI's sweep-kill-matrix job; these tests pin the contracts
-// it relies on.
+// the shared single-writer trace cache, the checkpoint journal, the
+// verified shard merge with its DataError/TransientError
+// classification, and the supervisor's exit-code triage. The
+// end-to-end kill-and-resume invariant (SIGKILL workers at random,
+// resume, merge, diff against a single-process run) lives in CI's
+// sweep-kill-matrix job; these tests pin the contracts it relies on.
 #include <gtest/gtest.h>
 
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -20,6 +21,7 @@
 
 #include "store/writer.hpp"
 #include "sweep/cache.hpp"
+#include "sweep/journal.hpp"
 #include "sweep/lease.hpp"
 #include "sweep/merge.hpp"
 #include "sweep/partition.hpp"
@@ -312,6 +314,72 @@ TEST_F(SweepTest, VerifyCacheIsCleanOnHealthyDir) {
   EXPECT_EQ(audit.entries_clean, 1u);
 }
 
+// ---- journal --------------------------------------------------------------
+
+TEST_F(SweepTest, AtomicWriteLeavesNoStagingAndFailsTransiently) {
+  write_file_atomic(path("a.json"), "bytes\n");
+  EXPECT_EQ(read_file(path("a.json")), "bytes\n");
+  EXPECT_FALSE(fs::exists(path("a.json.tmp")));
+  EXPECT_THROW(write_file_atomic(path("no/such/dir/a.json"), "x"),
+               util::TransientError);
+}
+
+TEST_F(SweepTest, ReadFileTellsMissingFromUnreadable) {
+  std::string bytes;
+  EXPECT_EQ(sweep::read_file(path("absent"), &bytes), ReadStatus::kMissing);
+  write_file(path("present"), "abc");
+  ASSERT_EQ(sweep::read_file(path("present"), &bytes), ReadStatus::kOk);
+  EXPECT_EQ(bytes, "abc");
+  EXPECT_EQ(crc32_of(bytes), 0x352441c2u);  // the standard CRC-32 of "abc"
+  if (::geteuid() == 0) {
+    GTEST_SKIP() << "root ignores file modes";
+  }
+  fs::permissions(path("present"), fs::perms::none);
+  EXPECT_EQ(sweep::read_file(path("present"), &bytes), ReadStatus::kCorrupt);
+}
+
+/// Two shards of a 2-way split over `ids`, each claiming what it owns.
+std::vector<ShardClaim> split_claims(const std::vector<std::string>& ids) {
+  std::vector<ShardClaim> shards(2);
+  for (int i = 0; i < 2; ++i) {
+    shards[i].name = "s" + std::to_string(i);
+    shards[i].stamp = ShardSpec{i, 2};
+  }
+  for (const std::string& id : ids) {
+    shards[shard_of(id, 2)].ids.push_back(id);
+  }
+  return shards;
+}
+
+TEST_F(SweepTest, ClaimConflictsOutrankUnfinishedShards) {
+  const std::vector<std::string> ids = {"a", "b", "c", "d", "e", "f"};
+  std::vector<ShardClaim> shards = split_claims(ids);
+  shards[0].unfinished = "torn";
+  std::vector<std::string> notes;
+  // Unfinished alone: resumable, or a note and unclaimed ids.
+  EXPECT_THROW(check_claims(shards, ids, false, nullptr),
+               util::TransientError);
+  const std::vector<Claim> partial = check_claims(shards, ids, true, &notes);
+  EXPECT_EQ(notes.size(), 1u);
+  EXPECT_EQ(std::count_if(partial.begin(), partial.end(),
+                          [](const Claim& c) { return !c.claimed(); }),
+            static_cast<std::ptrdiff_t>(shards[0].ids.size()));
+
+  // Any conflict beside it is a DataError, even under allow_partial.
+  std::vector<ShardClaim> unknown = shards;
+  unknown[1].ids.push_back("zz");
+  std::vector<ShardClaim> unowned = shards;
+  unowned[1].ids.push_back(shards[0].ids.front());
+  std::vector<ShardClaim> foreign = shards;
+  foreign[1].foreign = "another experiment";
+  std::vector<ShardClaim> twice = shards;
+  twice.push_back(twice[1]);
+  for (const auto* set : {&unknown, &unowned, &foreign, &twice}) {
+    EXPECT_THROW(check_claims(*set, ids, false, nullptr), util::DataError);
+    EXPECT_THROW(check_claims(*set, ids, true, &notes), util::DataError);
+  }
+}
+
 // ---- merge ----------------------------------------------------------------
 
 CaseMeta meta_of(const std::string& id) {
@@ -356,11 +424,9 @@ class MergeTest : public SweepTest {
   /// dir holding every case, all with identical .dat content per case.
   void build_partitioned_dirs() {
     SweepReport s0, s1, single;
-    s0.shard_index = 0;
-    s0.shard_total = 2;
+    s0.shard = ShardSpec{0, 2};
     s0.complete = true;
-    s1.shard_index = 1;
-    s1.shard_total = 2;
+    s1.shard = ShardSpec{1, 2};
     s1.complete = true;
     single.complete = true;
     single.threads = 8;       // volatile fields the canonical form drops
@@ -450,7 +516,8 @@ TEST_F(MergeTest, DigestDisagreementIsConflict) {
   write_report(a, path("a/report.json"));
 
   MergeOptions options;
-  options.expected = {meta_of("case_x")};
+  // case_y appears in no shard: the conflict must still win over it.
+  options.expected = {meta_of("case_x"), meta_of("case_y")};
   options.out_dir = path("out");
   try {
     merge_shards({path("a")}, options);
@@ -474,8 +541,7 @@ TEST_F(MergeTest, PartitionMismatchIsConflict) {
   }
   ASSERT_FALSE(foreign.empty());
   SweepReport a;
-  a.shard_index = 0;
-  a.shard_total = 2;
+  a.shard = ShardSpec{0, 2};
   a.complete = true;
   a.cases.push_back(make_ok_case(path("a"), foreign, "bytes\n"));
   write_report(a, path("a/report.json"));

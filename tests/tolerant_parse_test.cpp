@@ -67,6 +67,14 @@ TEST_F(TolerantParseTest, StrictThrowsWithPathAndLine) {
   }
 }
 
+TEST_F(TolerantParseTest, StrictBadRecordIsADataError) {
+  // Malformed input is data, not a program error: strict mode raises the
+  // class that PlanRunner and error::merge_exit_code key on.
+  const std::string p =
+      write_file("t.swf", "; header\n" + swf_row(1) + kBadRow);
+  EXPECT_THROW(load_trace(p, swf(Strictness::kStrict)), util::DataError);
+}
+
 TEST_F(TolerantParseTest, TolerantSkipsAndAccounts) {
   const std::string p =
       write_file("t.swf", "; header\n" + swf_row(1) + kBadRow + swf_row(3));
