@@ -3,7 +3,7 @@
 // Verify walks the whole chunk directory (bounds + CRC-32 per chunk)
 // and prints a damage report without materializing the trace. Repair
 // performs a degraded read — dropping damaged tasks/events row groups,
-// zero-filling damaged small-section columns — and rewrites a clean
+// default-filling damaged small-section columns — and rewrites a clean
 // file from the surviving rows, so a partially corrupted archive
 // becomes scannable again at the cost of the quarantined data.
 //

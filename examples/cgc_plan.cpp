@@ -71,8 +71,9 @@ ScenarioMatrix build_matrix(const cgc::util::Args& args) {
 }
 
 /// Reads every shard checkpoint under `out_dir` (sorted by path, so the
-/// merge input order is stable). Torn checkpoints are TransientErrors:
-/// rerun that shard and merge again.
+/// merge input order is stable). A torn checkpoint joins the merge as
+/// an unfinished shard: merge_results reports any conflict among the
+/// others first (exit 2), else asks for that shard to be rerun (exit 1).
 std::vector<cgc::plan::ShardResults> collect_shards(
     const std::string& out_dir, const ScenarioMatrix& matrix) {
   std::vector<std::string> paths;
@@ -94,12 +95,11 @@ std::vector<cgc::plan::ShardResults> collect_shards(
     const cgc::sweep::ReadStatus status =
         cgc::plan::read_results(path, matrix, &shard);
     if (status == cgc::sweep::ReadStatus::kCorrupt) {
-      throw cgc::util::TransientError("--merge: torn or unreadable "
-                                      "checkpoint " + path +
-                                      "; rerun that shard");
+      shard = {};
+      shard.unreadable = "torn or unreadable checkpoint " + path;
     }
     // kMissing: deleted between listing and reading; merge will notice.
-    if (status == cgc::sweep::ReadStatus::kOk) {
+    if (status != cgc::sweep::ReadStatus::kMissing) {
       shards.push_back(std::move(shard));
     }
   }

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <exception>
 #include <memory>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -161,7 +162,7 @@ void run_chunks(std::size_t num_chunks,
       }
       util::MutexLock lock(s->mutex);
       if (error) {
-        s->errors.emplace_back(ci, error);
+        s->errors.emplace_back(ci, std::move(error));
       }
       if (++s->completed == s->num_chunks) {
         s->done_cv.notify_all();
@@ -193,9 +194,12 @@ void run_chunks(std::size_t num_chunks,
     state->done_cv.wait(state->mutex);
   }
   if (!state->errors.empty()) {
-    // Deterministic choice: lowest chunk index wins.
-    auto first = state->errors.front();
-    for (const auto& e : state->errors) {
+    // Deterministic choice: lowest chunk index wins. Workers move their
+    // errors in under the lock and they leave the shared state here, so
+    // every exception dies on this thread, not on a helper thread.
+    const auto errors = std::exchange(state->errors, {});
+    auto first = errors.front();
+    for (const auto& e : errors) {
       if (e.first < first.first) {
         first = e;
       }
@@ -241,7 +245,7 @@ void overlap(const std::function<void()>& foreground,
       error = std::current_exception();
     }
     util::MutexLock lock(state->mutex);
-    state->error = error;
+    state->error = std::move(error);
     state->done = true;
     state->done_cv.notify_all();
   });
@@ -264,7 +268,9 @@ void overlap(const std::function<void()>& foreground,
     while (!state->done) {
       state->done_cv.wait(state->mutex);
     }
-    background_error = state->error;
+    // Moved out, so the exception dies on this thread, not on the
+    // helper thread.
+    background_error = std::exchange(state->error, nullptr);
   }
   if (background_error) {
     std::rethrow_exception(background_error);

@@ -2,6 +2,8 @@
 
 #include <charconv>
 #include <cstdlib>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -29,7 +31,7 @@ struct Config {
 };
 
 util::Mutex g_mutex;
-// Leaked on reconfigure; sites are tiny.
+// Read only under g_mutex, so configure() frees the config it replaces.
 const Config* g_config CGC_GUARDED_BY(g_mutex) = nullptr;
 
 /// splitmix64 — a strong 64-bit mixer; the p= trigger hashes
@@ -134,8 +136,8 @@ Site parse_entry(std::string_view entry, const std::string& spec) {
   return site;
 }
 
-const Config* parse_spec(const std::string& spec) {
-  auto config = new Config;
+std::unique_ptr<const Config> parse_spec(const std::string& spec) {
+  auto config = std::make_unique<Config>();
   config->spec = spec;
   std::string_view rest = spec;
   while (!rest.empty()) {
@@ -230,16 +232,17 @@ void maybe_throw(std::string_view site, std::uint64_t key,
 }
 
 void configure(const std::string& spec) {
-  const Config* config = spec.empty() ? nullptr : parse_spec(spec);
+  std::unique_ptr<const Config> config =
+      spec.empty() ? nullptr : parse_spec(spec);
+  const bool armed = config != nullptr;
   {
     util::MutexLock lock(g_mutex);
-    // The previous config is leaked intentionally: concurrent
-    // should_fail_slow() holds the lock, so the swap itself is safe,
-    // and configs are a few hundred bytes arriving once per process
-    // (or per test).
-    g_config = config;
+    // Every reader holds the lock, so the replaced config has no reader
+    // left once the swap is done; `config` frees it below.
+    const Config* replaced = std::exchange(g_config, config.release());
+    config.reset(replaced);
   }
-  detail::g_armed.store(config != nullptr, std::memory_order_relaxed);
+  detail::g_armed.store(armed, std::memory_order_relaxed);
 }
 
 std::string active_spec() {

@@ -43,45 +43,45 @@ std::string workload_str(const ScenarioSpec& spec) {
   return out;
 }
 
-/// The 17 score fields, in frozen serialization order.
-void score_values(const ScenarioScore& s, double out[17]) {
-  out[0] = s.cpu_util_mean;
-  out[1] = s.cpu_util_peak;
-  out[2] = s.mem_util_mean;
-  out[3] = s.mem_util_peak;
-  out[4] = s.eviction_rate;
-  out[5] = s.wait_p50_s;
-  out[6] = s.wait_p90_s;
-  out[7] = s.wait_p99_s;
-  out[8] = s.wait_mean_s;
-  out[9] = s.machines_needed;
-  out[10] = s.headroom;
-  out[11] = s.machine_hours;
-  out[12] = s.cost_usd;
-  out[13] = s.consolidated_cost_usd;
-  out[14] = s.slo_attainment;
-  out[15] = s.cpu_hours_delivered;
-  out[16] = s.usd_per_slo;
-}
+/// The score fields, in frozen serialization order: checkpoint rows
+/// and plan.json's "score" objects both walk this table.
+constexpr struct {
+  const char* name;
+  double ScenarioScore::*member;
+} kScoreFields[] = {
+    {"cpu_util_mean", &ScenarioScore::cpu_util_mean},
+    {"cpu_util_peak", &ScenarioScore::cpu_util_peak},
+    {"mem_util_mean", &ScenarioScore::mem_util_mean},
+    {"mem_util_peak", &ScenarioScore::mem_util_peak},
+    {"eviction_rate", &ScenarioScore::eviction_rate},
+    {"wait_p50_s", &ScenarioScore::wait_p50_s},
+    {"wait_p90_s", &ScenarioScore::wait_p90_s},
+    {"wait_p99_s", &ScenarioScore::wait_p99_s},
+    {"wait_mean_s", &ScenarioScore::wait_mean_s},
+    {"machines_needed", &ScenarioScore::machines_needed},
+    {"headroom", &ScenarioScore::headroom},
+    {"machine_hours", &ScenarioScore::machine_hours},
+    {"cost_usd", &ScenarioScore::cost_usd},
+    {"consolidated_cost_usd", &ScenarioScore::consolidated_cost_usd},
+    {"slo_attainment", &ScenarioScore::slo_attainment},
+    {"cpu_hours_delivered", &ScenarioScore::cpu_hours_delivered},
+    {"usd_per_slo", &ScenarioScore::usd_per_slo},
+};
 
-void score_from_values(const double in[17], ScenarioScore* s) {
-  s->cpu_util_mean = in[0];
-  s->cpu_util_peak = in[1];
-  s->mem_util_mean = in[2];
-  s->mem_util_peak = in[3];
-  s->eviction_rate = in[4];
-  s->wait_p50_s = in[5];
-  s->wait_p90_s = in[6];
-  s->wait_p99_s = in[7];
-  s->wait_mean_s = in[8];
-  s->machines_needed = in[9];
-  s->headroom = in[10];
-  s->machine_hours = in[11];
-  s->cost_usd = in[12];
-  s->consolidated_cost_usd = in[13];
-  s->slo_attainment = in[14];
-  s->cpu_hours_delivered = in[15];
-  s->usd_per_slo = in[16];
+/// The $/SLO order: defined costs ascending, undefined (< 0) last, ids
+/// break ties so the order is total.
+bool cheaper_per_slo(const ScenarioResult& a, const ScenarioResult& b) {
+  const double ca = a.score.usd_per_slo;
+  const double cb = b.score.usd_per_slo;
+  const bool da = ca >= 0.0;
+  const bool db = cb >= 0.0;
+  if (da != db) {
+    return da;
+  }
+  if (da && ca != cb) {
+    return ca < cb;
+  }
+  return a.id < b.id;
 }
 
 /// The checkpoint's closing line: "end <crc32 of all bytes before it>".
@@ -93,24 +93,10 @@ std::string seal_line(std::string_view content) {
 
 /// JSON fragment for one score (plan.json display precision).
 std::string score_json(const ScenarioScore& s) {
-  static constexpr const char* kNames[17] = {
-      "cpu_util_mean",       "cpu_util_peak",
-      "mem_util_mean",       "mem_util_peak",
-      "eviction_rate",       "wait_p50_s",
-      "wait_p90_s",          "wait_p99_s",
-      "wait_mean_s",         "machines_needed",
-      "headroom",            "machine_hours",
-      "cost_usd",            "consolidated_cost_usd",
-      "slo_attainment",      "cpu_hours_delivered",
-      "usd_per_slo"};
-  double values[17];
-  score_values(s, values);
-  std::string out = "{";
-  for (int i = 0; i < 17; ++i) {
-    if (i > 0) {
-      out += ", ";
-    }
-    out += std::string("\"") + kNames[i] + "\": " + fmt10(values[i]);
+  std::string out;
+  for (const auto& field : kScoreFields) {
+    out += out.empty() ? "{\"" : ", \"";
+    out += std::string(field.name) + "\": " + fmt10(s.*field.member);
   }
   out += "}";
   return out;
@@ -137,12 +123,10 @@ void write_results(const std::string& path, const ShardResults& results) {
   for (const ScenarioResult& r : results.results) {
     content += "R " + r.id;
     if (r.ok) {
-      double values[17];
-      score_values(r.score, values);
       content += " 1";
-      for (const double v : values) {
+      for (const auto& field : kScoreFields) {
         content += ' ';
-        content += fmt17(v);
+        content += fmt17(r.score.*field.member);
       }
       content += "\n";
     } else {
@@ -235,14 +219,12 @@ sweep::ReadStatus read_results(const std::string& path,
       r.spec = matrix.scenarios[it->second];
       r.ok = ok != 0;
       if (r.ok) {
-        double values[17];
-        for (double& v : values) {
-          fields >> v;
+        for (const auto& field : kScoreFields) {
+          fields >> r.score.*field.member;
         }
         if (fields.fail()) {
           return ReadStatus::kCorrupt;
         }
-        score_from_values(values, &r.score);
       } else {
         std::getline(fields >> std::ws, r.error);
       }
@@ -276,6 +258,11 @@ std::vector<ScenarioResult> merge_results(
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const ShardResults& shard = shards[i];
     sweep::ShardClaim& claim = claims[i];
+    if (!shard.unreadable.empty()) {
+      claim.name = "input " + std::to_string(i);
+      claim.unfinished = shard.unreadable;
+      continue;
+    }
     claim.name = "shard " + shard.shard.str() + " (input " +
                  std::to_string(i) + ")";
     claim.stamp = shard.shard;
@@ -370,22 +357,11 @@ std::string render_plan_json(const ScenarioMatrix& matrix,
   }
   out += "],\n";
 
-  // $/SLO ranking: defined costs ascending, undefined last, ids break
-  // ties so the order is total.
+  // $/SLO ranking.
   std::vector<std::size_t> rank(ok_index);
   std::sort(rank.begin(), rank.end(),
             [&results](std::size_t a, std::size_t b) {
-              const double ca = results[a].score.usd_per_slo;
-              const double cb = results[b].score.usd_per_slo;
-              const bool da = ca >= 0.0;
-              const bool db = cb >= 0.0;
-              if (da != db) {
-                return da;
-              }
-              if (da && ca != cb) {
-                return ca < cb;
-              }
-              return results[a].id < results[b].id;
+              return cheaper_per_slo(results[a], results[b]);
             });
   out += "  \"ranking\": [\n";
   for (std::size_t i = 0; i < rank.size(); ++i) {
@@ -412,17 +388,7 @@ std::string render_comparison_table(
   }
   std::sort(ranked.begin(), ranked.end(),
             [](const ScenarioResult* a, const ScenarioResult* b) {
-              const double ca = a->score.usd_per_slo;
-              const double cb = b->score.usd_per_slo;
-              const bool da = ca >= 0.0;
-              const bool db = cb >= 0.0;
-              if (da != db) {
-                return da;
-              }
-              if (da && ca != cb) {
-                return ca < cb;
-              }
-              return a->id < b->id;
+              return cheaper_per_slo(*a, *b);
             });
   if (top_n > 0 && ranked.size() > top_n) {
     ranked.resize(top_n);

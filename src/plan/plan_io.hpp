@@ -41,6 +41,10 @@ struct ShardResults {
   bool complete = false;
   /// Results in matrix order (specs re-attached from the matrix).
   std::vector<ScenarioResult> results;
+  /// Set by a merge's reader when the checkpoint could not be read
+  /// (torn, unreadable, not ours): why, naming the path. merge_results
+  /// counts such a shard as unfinished, so conflicts still outrank it.
+  std::string unreadable;
 };
 
 /// Checkpoint path for shard `spec` under `out_dir`.

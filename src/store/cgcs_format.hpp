@@ -21,16 +21,21 @@
 // columns are raw little-endian arrays, which the mmap reader exposes
 // as zero-copy spans.
 //
+// Every chunk's (section, column, value kind) is one that
+// section_columns() lists, and each row group holds its section's
+// columns exactly once; the reader checks both at open.
+//
 // Versioning rules: format_version bumps on any layout change a v(N-1)
 // reader cannot parse; readers reject files with a different major
 // version outright (no silent partial reads). New trailing footer
 // fields may be added within a version only if readers tolerate
 // `remaining() > 0` after parsing — the current reader does not, so any
-// change bumps the version.
+// change (a new column included) bumps the version.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string_view>
 
 namespace cgc::store {
@@ -106,6 +111,25 @@ enum class Encoding : std::uint8_t {
   kVarint = 2,       ///< zigzag varint per row
   kDeltaVarint = 3,  ///< zigzag varint of delta vs previous row
 };
+
+/// What a column's values are. Integer columns may use either varint
+/// encoding; raw columns have exactly one.
+enum class ValueKind : std::uint8_t { kI64, kF32, kU8 };
+
+constexpr ValueKind value_kind(Encoding e) {
+  return e == Encoding::kRawF32  ? ValueKind::kF32
+         : e == Encoding::kRawU8 ? ValueKind::kU8
+                                 : ValueKind::kI64;
+}
+
+/// One column a section defines.
+struct ColumnDef {
+  ColumnId column;
+  ValueKind kind;
+};
+
+/// The columns of `section`, in the order the writer emits them.
+std::span<const ColumnDef> section_columns(SectionId section);
 
 /// Footer directory entry for one chunk. The zone map carries min/max
 /// over the chunk's rows — integer bounds for integer encodings, real

@@ -3,31 +3,39 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <map>
+#include <iterator>
 
+#include "exec/parallel.hpp"
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "store/encoding.hpp"
 #include "util/check.hpp"
-#include "exec/parallel.hpp"
 
 namespace cgc::store {
 
 static_assert(std::endian::native == std::endian::little,
               "CGCS raw columns assume a little-endian host");
 
+static_assert(kNumColumnIds <= 32, "damaged-column masks are 32-bit");
+
 namespace {
 
 using trace::HostLoadSeries;
 using trace::kNumBands;
-using trace::PriorityBand;
 
 constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
+/// Footer bytes of one host-load series entry (3x i64 + u64) and of one
+/// chunk directory entry (3x u8 + 4x u64 + 2x i64 + 2x f64 + u32).
+constexpr std::size_t kSeriesEntrySize = 32;
+constexpr std::size_t kChunkEntrySize = 71;
 
 std::string bad_file(const std::string& path, const std::string& why) {
   return "not a valid CGCS file (" + why + "): " + path;
 }
+
+constexpr std::size_t col(ColumnId c) { return static_cast<std::size_t>(c); }
+constexpr std::uint32_t column_bit(ColumnId c) { return 1u << col(c); }
 
 }  // namespace
 
@@ -36,18 +44,6 @@ std::string DamageReport::summary() const {
          std::to_string(rows_lost) + " rows lost, " +
          std::to_string(values_defaulted) + " values defaulted";
 }
-
-// Column chunks of one events row group, in decode order.
-struct StoreReader::EventRowGroup {
-  const ChunkMeta* time = nullptr;
-  const ChunkMeta* job_id = nullptr;
-  const ChunkMeta* task_index = nullptr;
-  const ChunkMeta* machine_id = nullptr;
-  const ChunkMeta* type = nullptr;
-  const ChunkMeta* priority = nullptr;
-  std::uint64_t row_begin = 0;
-  std::uint64_t row_count = 0;
-};
 
 StoreReader::StoreReader(const std::string& path, ReadMode mode)
     : file_(path), mode_(mode) {
@@ -62,7 +58,7 @@ StoreReader::StoreReader(const std::string& path, ReadMode mode)
   crc_checked_ = std::move(flags);
   std::vector<std::atomic<bool>> bad(chunks_.size());
   chunk_bad_ = std::move(bad);
-  validate_chunks();
+  build_index();
 }
 
 StoreReader::~StoreReader() = default;
@@ -70,35 +66,35 @@ StoreReader::~StoreReader() = default;
 void StoreReader::parse_footer() {
   const auto data = file_.data();
   const std::string& path = file_.path();
-  CGC_CHECK_MSG(data.size() >= kHeaderSize + kTrailerSize,
-                bad_file(path, "file shorter than header + trailer"));
-  CGC_CHECK_MSG(std::memcmp(data.data(), kMagic.data(), 4) == 0,
-                bad_file(path, "bad magic"));
+  const auto require = [&path](bool ok, const std::string& why) {
+    if (!ok) {
+      throw util::DataError(bad_file(path, why));
+    }
+  };
+  require(data.size() >= kHeaderSize + kTrailerSize,
+          "file shorter than header + trailer");
+  require(std::memcmp(data.data(), kMagic.data(), 4) == 0, "bad magic");
   BufferReader header(data.subspan(4, kHeaderSize - 4));
   const std::uint32_t version = header.get_u32();
-  CGC_CHECK_MSG(version == kFormatVersion,
-                bad_file(path, "unsupported format version " +
-                                   std::to_string(version)));
-  CGC_CHECK_MSG(
-      std::memcmp(data.data() + data.size() - 4, kEndMagic.data(), 4) == 0,
-      bad_file(path, "bad end magic (truncated file?)"));
+  require(version == kFormatVersion,
+          "unsupported format version " + std::to_string(version));
+  require(std::memcmp(data.data() + data.size() - 4, kEndMagic.data(), 4) == 0,
+          "bad end magic (truncated file?)");
 
   BufferReader trailer(
       data.subspan(data.size() - kTrailerSize, kTrailerSize - 4));
   const std::uint64_t footer_offset = trailer.get_u64();
   const std::uint32_t footer_crc = trailer.get_u32();
-  CGC_CHECK_MSG(footer_offset >= kHeaderSize &&
-                    footer_offset <= data.size() - kTrailerSize,
-                bad_file(path, "footer offset out of bounds"));
+  require(footer_offset >= kHeaderSize &&
+              footer_offset <= data.size() - kTrailerSize,
+          "footer offset out of bounds");
   const auto footer_bytes = data.subspan(
       footer_offset, data.size() - kTrailerSize - footer_offset);
-  CGC_CHECK_MSG(crc32(footer_bytes) == footer_crc,
-                bad_file(path, "footer CRC mismatch"));
+  require(crc32(footer_bytes) == footer_crc, "footer CRC mismatch");
 
   BufferReader footer(footer_bytes);
-  const std::uint32_t footer_version = footer.get_u32();
-  CGC_CHECK_MSG(footer_version == kFormatVersion,
-                bad_file(path, "footer/header version disagreement"));
+  require(footer.get_u32() == kFormatVersion,
+          "footer/header version disagreement");
   info_.system_name = footer.get_string();
   info_.duration = footer.get_i64();
   info_.memory_in_mb = footer.get_u8() != 0;
@@ -108,8 +104,18 @@ void StoreReader::parse_footer() {
   info_.num_machines = footer.get_u64();
   info_.num_hostload_samples = footer.get_u64();
   info_.file_size = data.size();
+  // Every row costs at least one payload byte in each of its columns, so
+  // no section holds more rows than the file has bytes; this caps every
+  // allocation load_trace_set() sizes by a row count.
+  for (const std::uint64_t rows :
+       {info_.num_jobs, info_.num_tasks, info_.num_events, info_.num_machines,
+        info_.num_hostload_samples}) {
+    require(rows <= data.size(), "section row count exceeds file size");
+  }
 
   const std::uint64_t num_series = footer.get_u64();
+  require(num_series <= footer.remaining() / kSeriesEntrySize,
+          "series directory runs past the footer");
   info_.num_hostload_series = num_series;
   series_.reserve(num_series);
   std::uint64_t sample_total = 0;
@@ -119,25 +125,28 @@ void StoreReader::parse_footer() {
     s.start = footer.get_i64();
     s.period = footer.get_i64();
     s.samples = footer.get_u64();
-    CGC_CHECK_MSG(s.period > 0, bad_file(path, "non-positive series period"));
+    require(s.period > 0, "non-positive series period");
+    require(s.samples <= info_.num_hostload_samples - sample_total,
+            "series directory disagrees with sample count");
     sample_total += s.samples;
     series_.push_back(s);
   }
-  CGC_CHECK_MSG(sample_total == info_.num_hostload_samples,
-                bad_file(path, "series directory disagrees with sample count"));
+  require(sample_total == info_.num_hostload_samples,
+          "series directory disagrees with sample count");
 
   const std::uint32_t num_chunks = footer.get_u32();
+  require(num_chunks <= footer.remaining() / kChunkEntrySize,
+          "chunk directory runs past the footer");
   chunks_.reserve(num_chunks);
   for (std::uint32_t i = 0; i < num_chunks; ++i) {
     ChunkMeta c;
     const std::uint8_t section = footer.get_u8();
-    CGC_CHECK_MSG(section < kNumSections,
-                  bad_file(path, "chunk section id out of range"));
+    require(section < kNumSections, "chunk section id out of range");
     c.section = static_cast<SectionId>(section);
     c.column = static_cast<ColumnId>(footer.get_u8());
     const std::uint8_t encoding = footer.get_u8();
-    CGC_CHECK_MSG(encoding <= static_cast<std::uint8_t>(Encoding::kDeltaVarint),
-                  bad_file(path, "chunk encoding out of range"));
+    require(encoding <= static_cast<std::uint8_t>(Encoding::kDeltaVarint),
+            "chunk encoding out of range");
     c.encoding = static_cast<Encoding>(encoding);
     c.offset = footer.get_u64();
     c.payload_size = footer.get_u64();
@@ -150,59 +159,124 @@ void StoreReader::parse_footer() {
     c.crc = footer.get_u32();
     chunks_.push_back(c);
   }
-  CGC_CHECK_MSG(footer.exhausted(),
-                bad_file(path, "footer has trailing bytes"));
+  require(footer.exhausted(), "footer has trailing bytes");
   info_.num_chunks = chunks_.size();
   footer_offset_ = footer_offset;
 }
 
-void StoreReader::validate_chunks() {
+void StoreReader::build_index() {
   const std::string& path = file_.path();
-  for (std::size_t i = 0; i < chunks_.size(); ++i) {
-    const ChunkMeta& c = chunks_[i];
-    std::uint64_t section_rows = 0;
-    switch (c.section) {
-      case SectionId::kJobs:
-        section_rows = info_.num_jobs;
-        break;
-      case SectionId::kTasks:
-        section_rows = info_.num_tasks;
-        break;
-      case SectionId::kEvents:
-        section_rows = info_.num_events;
-        break;
-      case SectionId::kMachines:
-        section_rows = info_.num_machines;
-        break;
-      case SectionId::kHostLoad:
-        section_rows = info_.num_hostload_samples;
-        break;
+  const std::uint64_t section_rows[kNumSections] = {
+      info_.num_jobs, info_.num_tasks, info_.num_events, info_.num_machines,
+      info_.num_hostload_samples};
+  const auto layout_error = [&path](SectionId s, const std::string& why) {
+    return util::DataError(
+        bad_file(path, std::string(section_name(s)) + " " + why));
+  };
+
+  // A chunk's column and row range place it in the layout: a wrong one
+  // is directory damage in either mode. Its encoding and payload bounds
+  // are its own damage, which degraded mode quarantines. Every check is
+  // written so that no sum of footer fields can wrap.
+  std::array<std::vector<const ChunkMeta*>, kNumSections> by_section;
+  for (const ChunkMeta& c : chunks_) {
+    const auto s = static_cast<std::size_t>(c.section);
+    const auto defs = section_columns(c.section);
+    const auto def = std::find_if(
+        defs.begin(), defs.end(),
+        [&c](const ColumnDef& d) { return d.column == c.column; });
+    if (def == defs.end()) {
+      throw layout_error(c.section, "chunk has column id " +
+                                        std::to_string(col(c.column)) +
+                                        ", which the section does not define");
+    }
+    if (c.row_begin > section_rows[s] ||
+        c.row_count > section_rows[s] - c.row_begin) {
+      throw layout_error(c.section, "chunk rows exceed section size");
     }
     std::string reason;
-    // Payloads must live in [header, footer).
-    if (c.offset < kHeaderSize ||
-        c.offset + c.payload_size > footer_offset_) {
+    if (value_kind(c.encoding) != def->kind) {
+      reason = "chunk encoding does not match its column";
+    } else if (c.offset < kHeaderSize || c.offset > footer_offset_ ||
+               c.payload_size > footer_offset_ - c.offset) {
+      // Payloads must live in [header, footer).
       reason = "chunk payload out of bounds";
-    } else if (c.row_begin + c.row_count > section_rows) {
-      reason = "chunk rows exceed section size";
     } else if (c.encoding == Encoding::kRawF32) {
       if (c.payload_size != c.row_count * sizeof(float)) {
         reason = "raw f32 chunk payload size mismatch";
       } else if (c.offset % alignof(float) != 0) {
         reason = "raw f32 chunk misaligned";
       }
-    } else if (c.encoding == Encoding::kRawU8 &&
-               c.payload_size != c.row_count) {
-      reason = "raw u8 chunk payload size mismatch";
+    } else if (c.encoding == Encoding::kRawU8) {
+      if (c.payload_size != c.row_count) {
+        reason = "raw u8 chunk payload size mismatch";
+      }
+    } else if (c.payload_size < c.row_count) {
+      reason = "varint chunk shorter than one byte per row";
     }
-    if (reason.empty()) {
-      continue;
+    if (!reason.empty()) {
+      if (mode_ == ReadMode::kStrict) {
+        throw util::DataError(bad_file(path, reason));
+      }
+      quarantine(c, reason);
     }
-    if (mode_ == ReadMode::kStrict) {
-      throw util::DataError(bad_file(path, reason));
-    }
-    quarantine(c, reason);
+    by_section[s].push_back(&c);
   }
+
+  // Group each section's chunks by row_begin. Every group must hold the
+  // section's columns exactly once over one row range, and the groups
+  // must tile the section.
+  for (std::size_t s = 0; s < kNumSections; ++s) {
+    const auto section = static_cast<SectionId>(s);
+    std::vector<const ChunkMeta*>& list = by_section[s];
+    std::sort(list.begin(), list.end(),
+              [](const ChunkMeta* a, const ChunkMeta* b) {
+                return a->row_begin != b->row_begin
+                           ? a->row_begin < b->row_begin
+                           : a->column < b->column;
+              });
+    const std::size_t width = section_columns(section).size();
+    section_begin_[s] = groups_.size();
+    std::uint64_t next_row = 0;
+    for (std::size_t i = 0; i < list.size();) {
+      RowGroup g;
+      g.section = section;
+      g.row_begin = list[i]->row_begin;
+      g.row_count = list[i]->row_count;
+      if (g.row_begin != next_row || g.row_count == 0) {
+        throw layout_error(section, "row groups do not tile the section");
+      }
+      std::size_t columns = 0;
+      for (; i < list.size() && list[i]->row_begin == g.row_begin; ++i) {
+        const ChunkMeta* c = list[i];
+        if (c->row_count != g.row_count) {
+          throw layout_error(section, "row group chunks disagree on rows");
+        }
+        const ChunkMeta*& slot = g.cols[col(c->column)];
+        if (slot != nullptr) {
+          throw layout_error(section, "row group repeats a column");
+        }
+        slot = c;
+        ++columns;
+      }
+      if (columns != width) {
+        throw layout_error(section, "row group missing a column");
+      }
+      next_row += g.row_count;
+      groups_.push_back(g);
+    }
+    if (next_row != section_rows[s]) {
+      throw layout_error(section, "row groups do not tile the section");
+    }
+  }
+  section_begin_[kNumSections] = groups_.size();
+}
+
+std::span<const StoreReader::RowGroup> StoreReader::groups(
+    SectionId section) const {
+  const auto s = static_cast<std::size_t>(section);
+  return std::span(groups_).subspan(section_begin_[s],
+                                    section_begin_[s + 1] - section_begin_[s]);
 }
 
 std::size_t StoreReader::chunk_index(const ChunkMeta& chunk) const {
@@ -318,15 +392,11 @@ std::span<const std::uint8_t> StoreReader::payload(
 std::vector<const ChunkMeta*> StoreReader::column_chunks(
     SectionId section, ColumnId column) const {
   std::vector<const ChunkMeta*> out;
-  for (const ChunkMeta& c : chunks_) {
-    if (c.section == section && c.column == column) {
-      out.push_back(&c);
+  for (const RowGroup& g : groups(section)) {
+    if (col(column) < kNumColumnIds && g.cols[col(column)] != nullptr) {
+      out.push_back(g.cols[col(column)]);
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const ChunkMeta* a, const ChunkMeta* b) {
-              return a->row_begin < b->row_begin;
-            });
   return out;
 }
 
@@ -363,17 +433,101 @@ void StoreReader::decode_i64(const ChunkMeta& chunk,
                     chunk.encoding == Encoding::kDeltaVarint, out);
 }
 
+void StoreReader::account_loss(std::uint64_t rows_lost,
+                               std::uint64_t values_defaulted) const {
+  util::MutexLock lock(damage_mutex_);
+  damage_.rows_lost += rows_lost;
+  damage_.values_defaulted += values_defaulted;
+}
+
+std::uint32_t StoreReader::damaged_columns(const RowGroup& g) const {
+  if (mode_ != ReadMode::kDegraded) {
+    return 0;
+  }
+  std::uint32_t bad = 0;
+  for (const ColumnDef& d : section_columns(g.section)) {
+    // Check every column (no short-circuit) so the DamageReport lists
+    // all damaged chunks, not just the first per group.
+    if (!chunk_ok(*g.cols[col(d.column)])) {
+      bad |= column_bit(d.column);
+    }
+  }
+  return bad;
+}
+
+/// A row group's columns in a decoder's hands: integer chunks decoded
+/// into owned buffers, raw chunks as zero-copy pointers into the
+/// mapping. Columns left out of the decode stay null.
+struct StoreReader::GroupColumns {
+  std::array<std::vector<std::int64_t>, kNumColumnIds> ints;
+  std::array<const void*, kNumColumnIds> data{};
+
+  const std::int64_t* i64(ColumnId c) const {
+    return static_cast<const std::int64_t*>(data[col(c)]);
+  }
+  const float* f32(ColumnId c) const {
+    return static_cast<const float*>(data[col(c)]);
+  }
+  const std::uint8_t* u8(ColumnId c) const {
+    return static_cast<const std::uint8_t*>(data[col(c)]);
+  }
+};
+
+StoreReader::GroupColumns StoreReader::decode_group(
+    const RowGroup& g, std::uint32_t skip) const {
+  GroupColumns out;
+  for (const ColumnDef& d : section_columns(g.section)) {
+    if ((skip & column_bit(d.column)) != 0) {
+      continue;
+    }
+    const std::size_t k = col(d.column);
+    const ChunkMeta& chunk = *g.cols[k];
+    switch (d.kind) {
+      case ValueKind::kI64:
+        decode_i64(chunk, &out.ints[k]);
+        out.data[k] = out.ints[k].data();
+        break;
+      case ValueKind::kF32:
+        out.data[k] = f32_span(chunk).data();
+        break;
+      case ValueKind::kU8:
+        out.data[k] = u8_span(chunk).data();
+        break;
+    }
+  }
+  return out;
+}
+
+void StoreReader::decode_events(const RowGroup& g,
+                                trace::TaskEvent* dst) const {
+  const GroupColumns c = decode_group(g, /*skip=*/0);
+  const std::int64_t* time = c.i64(ColumnId::kTime);
+  const std::int64_t* job_id = c.i64(ColumnId::kJobId);
+  const std::int64_t* task_index = c.i64(ColumnId::kTaskIndex);
+  const std::int64_t* machine_id = c.i64(ColumnId::kMachineId);
+  const std::uint8_t* type = c.u8(ColumnId::kEventType);
+  const std::uint8_t* priority = c.u8(ColumnId::kPriority);
+  for (std::size_t i = 0; i < g.row_count; ++i) {
+    trace::TaskEvent& e = dst[i];
+    e.time = time[i];
+    e.job_id = job_id[i];
+    e.task_index = static_cast<std::int32_t>(task_index[i]);
+    e.machine_id = machine_id[i];
+    e.type = static_cast<trace::TaskEventType>(type[i]);
+    e.priority = priority[i];
+  }
+}
+
 namespace {
 
-/// Flattened host-load columns for reconstruction.
-struct HostLoadFlat {
-  std::vector<float> cpu[kNumBands];
-  std::vector<float> mem[kNumBands];
-  std::vector<float> mem_assigned;
-  std::vector<float> page_cache;
-  std::vector<std::int32_t> running;
-  std::vector<std::int32_t> pending;
-};
+/// `*field = column[i]`; a null column (quarantined in degraded mode)
+/// leaves the field at its record default.
+template <typename Field, typename Value>
+void put(Field* field, const Value* column, std::size_t i) {
+  if (column != nullptr) {
+    *field = static_cast<Field>(column[i]);
+  }
+}
 
 }  // namespace
 
@@ -383,144 +537,131 @@ trace::TraceSet StoreReader::load_trace_set() const {
   std::vector<trace::Task> tasks(info_.num_tasks);
   std::vector<trace::TaskEvent> events(info_.num_events);
   std::vector<trace::Machine> machines(info_.num_machines);
-  HostLoadFlat hl;
-  for (std::size_t b = 0; b < kNumBands; ++b) {
-    hl.cpu[b].resize(info_.num_hostload_samples);
-    hl.mem[b].resize(info_.num_hostload_samples);
+  // Host load lands in flat per-column arrays, indexed by column id,
+  // and is sliced into per-machine series below.
+  std::array<std::vector<float>, kNumColumnIds> hl_f32;
+  std::array<std::vector<std::int32_t>, kNumColumnIds> hl_i32;
+  for (const ColumnDef& d : section_columns(SectionId::kHostLoad)) {
+    if (d.kind == ValueKind::kF32) {
+      hl_f32[col(d.column)].resize(info_.num_hostload_samples);
+    } else {
+      hl_i32[col(d.column)].resize(info_.num_hostload_samples);
+    }
   }
-  hl.mem_assigned.resize(info_.num_hostload_samples);
-  hl.page_cache.resize(info_.num_hostload_samples);
-  hl.running.resize(info_.num_hostload_samples);
-  hl.pending.resize(info_.num_hostload_samples);
 
-  // Tasks and events dominate the row count, so their chunks are
-  // regrouped by row range and every destination struct is filled in a
-  // single pass: one sweep of the section array per row group instead
-  // of one per column. Groups cover disjoint row ranges, so the
-  // fan-out stays race free.
-  struct RowGroupChunks {
-    std::uint64_t row_begin = 0;
-    std::uint64_t row_count = 0;
-    const ChunkMeta* cols[kNumColumnIds] = {};
-  };
-  auto group_rows = [&](SectionId section) {
-    std::map<std::uint64_t, RowGroupChunks> by_row;
-    for (const ChunkMeta& c : chunks_) {
-      if (c.section != section) {
-        continue;
-      }
-      RowGroupChunks& g = by_row[c.row_begin];
-      g.row_begin = c.row_begin;
-      g.row_count = c.row_count;
-      g.cols[static_cast<std::size_t>(c.column)] = &c;
-    }
-    std::vector<RowGroupChunks> out;
-    out.reserve(by_row.size());
-    for (auto& [row, group] : by_row) {
-      out.push_back(group);
-    }
-    return out;
-  };
-  auto need = [&](const RowGroupChunks& g, ColumnId col) -> const ChunkMeta& {
-    const ChunkMeta* c = g.cols[static_cast<std::size_t>(col)];
-    CGC_CHECK_MSG(c != nullptr && c->row_count == g.row_count,
-                  bad_file(file_.path(), "row group missing a column"));
-    return *c;
-  };
-
-  // Degraded mode drops whole row groups: a columnar row with one
-  // damaged column is not a usable record, and group granularity keeps
-  // the surviving rows exactly as written. Lost ranges are compacted
-  // out after the parallel fill (each group writes to its own disjoint
-  // range, so dropped groups simply leave holes to erase).
+  // One pass over every row group of every section, fanned out over
+  // cgc::exec. Each group owns a disjoint row range, so the fan-out is
+  // race free, and fills its destination structs in a single sweep of
+  // its rows instead of one sweep per column. Degraded mode drops a
+  // tasks/events group with any damaged column — a columnar row missing
+  // a field is not a usable record, and group granularity keeps the
+  // surviving rows exactly as written; the holes are compacted out
+  // after the fan-out. A damaged jobs/machines/host-load column keeps
+  // the record defaults instead, so row counts and the host-load time
+  // grids survive.
   util::Mutex lost_mutex;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> lost_tasks;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> lost_events;
-  auto group_damaged = [&](const RowGroupChunks& g) {
-    if (mode_ != ReadMode::kDegraded) {
-      return false;
-    }
-    bool bad = false;
-    for (const ChunkMeta* c : g.cols) {
-      // Check every column (no short-circuit) so the DamageReport lists
-      // all damaged chunks, not just the first per group.
-      if (c != nullptr && !chunk_ok(*c)) {
-        bad = true;
+  exec::parallel_for(0, groups_.size(), [&](std::size_t gi) {
+    const RowGroup& g = groups_[gi];
+    const std::size_t n = g.row_count;
+    const std::uint32_t bad = damaged_columns(g);
+    if (bad != 0) {
+      if (g.section == SectionId::kTasks || g.section == SectionId::kEvents) {
+        account_loss(n, 0);
+        util::MutexLock lock(lost_mutex);
+        (g.section == SectionId::kTasks ? lost_tasks : lost_events)
+            .emplace_back(g.row_begin, n);
+        return;
       }
+      account_loss(0, static_cast<std::uint64_t>(std::popcount(bad)) * n);
     }
-    return bad;
-  };
-  auto account_lost_rows = [&](std::uint64_t rows) {
-    util::MutexLock lock(damage_mutex_);
-    damage_.rows_lost += rows;
-  };
-
-  const std::vector<RowGroupChunks> task_groups = group_rows(SectionId::kTasks);
-  exec::parallel_for(0, task_groups.size(), [&](std::size_t gi) {
-    const RowGroupChunks& g = task_groups[gi];
-    if (group_damaged(g)) {
-      util::MutexLock lock(lost_mutex);
-      lost_tasks.emplace_back(g.row_begin, g.row_count);
+    if (g.section == SectionId::kEvents) {
+      decode_events(g, events.data() + g.row_begin);
       return;
     }
-    std::vector<std::int64_t> jid, tidx, submit, sched, end_t, mid, resub;
-    decode_i64(need(g, ColumnId::kJobId), &jid);
-    decode_i64(need(g, ColumnId::kTaskIndex), &tidx);
-    decode_i64(need(g, ColumnId::kSubmitTime), &submit);
-    decode_i64(need(g, ColumnId::kScheduleTime), &sched);
-    decode_i64(need(g, ColumnId::kEndTime), &end_t);
-    decode_i64(need(g, ColumnId::kMachineId), &mid);
-    decode_i64(need(g, ColumnId::kResubmits), &resub);
-    const auto prio = u8_span(need(g, ColumnId::kPriority));
-    const auto end_ev = u8_span(need(g, ColumnId::kEndEvent));
-    const auto cpu_req = f32_span(need(g, ColumnId::kCpuRequest));
-    const auto mem_req = f32_span(need(g, ColumnId::kMemRequest));
-    const auto cpu_use = f32_span(need(g, ColumnId::kCpuUsage));
-    const auto mem_use = f32_span(need(g, ColumnId::kMemUsage));
-    trace::Task* dst = tasks.data() + g.row_begin;
-    for (std::size_t i = 0; i < g.row_count; ++i) {
-      trace::Task& t = dst[i];
-      t.job_id = jid[i];
-      t.task_index = static_cast<std::int32_t>(tidx[i]);
-      t.priority = prio[i];
-      t.submit_time = submit[i];
-      t.schedule_time = sched[i];
-      t.end_time = end_t[i];
-      t.end_event = static_cast<trace::TaskEventType>(end_ev[i]);
-      t.machine_id = mid[i];
-      t.resubmits = static_cast<std::int32_t>(resub[i]);
-      t.cpu_request = cpu_req[i];
-      t.mem_request = mem_req[i];
-      t.cpu_usage = cpu_use[i];
-      t.mem_usage = mem_use[i];
-    }
-  }, /*grain=*/1);
-
-  const std::vector<RowGroupChunks> event_groups =
-      group_rows(SectionId::kEvents);
-  exec::parallel_for(0, event_groups.size(), [&](std::size_t gi) {
-    const RowGroupChunks& g = event_groups[gi];
-    if (group_damaged(g)) {
-      util::MutexLock lock(lost_mutex);
-      lost_events.emplace_back(g.row_begin, g.row_count);
-      return;
-    }
-    std::vector<std::int64_t> time, jid, tidx, mid;
-    decode_i64(need(g, ColumnId::kTime), &time);
-    decode_i64(need(g, ColumnId::kJobId), &jid);
-    decode_i64(need(g, ColumnId::kTaskIndex), &tidx);
-    decode_i64(need(g, ColumnId::kMachineId), &mid);
-    const auto type = u8_span(need(g, ColumnId::kEventType));
-    const auto prio = u8_span(need(g, ColumnId::kPriority));
-    trace::TaskEvent* dst = events.data() + g.row_begin;
-    for (std::size_t i = 0; i < g.row_count; ++i) {
-      trace::TaskEvent& e = dst[i];
-      e.time = time[i];
-      e.job_id = jid[i];
-      e.task_index = static_cast<std::int32_t>(tidx[i]);
-      e.machine_id = mid[i];
-      e.type = static_cast<trace::TaskEventType>(type[i]);
-      e.priority = prio[i];
+    const GroupColumns c = decode_group(g, bad);
+    switch (g.section) {
+      case SectionId::kTasks: {
+        const std::int64_t* job_id = c.i64(ColumnId::kJobId);
+        const std::int64_t* task_index = c.i64(ColumnId::kTaskIndex);
+        const std::uint8_t* priority = c.u8(ColumnId::kPriority);
+        const std::int64_t* submit = c.i64(ColumnId::kSubmitTime);
+        const std::int64_t* schedule = c.i64(ColumnId::kScheduleTime);
+        const std::int64_t* end = c.i64(ColumnId::kEndTime);
+        const std::uint8_t* end_event = c.u8(ColumnId::kEndEvent);
+        const std::int64_t* machine_id = c.i64(ColumnId::kMachineId);
+        const std::int64_t* resubmits = c.i64(ColumnId::kResubmits);
+        const float* cpu_request = c.f32(ColumnId::kCpuRequest);
+        const float* mem_request = c.f32(ColumnId::kMemRequest);
+        const float* cpu_usage = c.f32(ColumnId::kCpuUsage);
+        const float* mem_usage = c.f32(ColumnId::kMemUsage);
+        trace::Task* dst = tasks.data() + g.row_begin;
+        for (std::size_t i = 0; i < n; ++i) {
+          trace::Task& t = dst[i];
+          t.job_id = job_id[i];
+          t.task_index = static_cast<std::int32_t>(task_index[i]);
+          t.priority = priority[i];
+          t.submit_time = submit[i];
+          t.schedule_time = schedule[i];
+          t.end_time = end[i];
+          t.end_event = static_cast<trace::TaskEventType>(end_event[i]);
+          t.machine_id = machine_id[i];
+          t.resubmits = static_cast<std::int32_t>(resubmits[i]);
+          t.cpu_request = cpu_request[i];
+          t.mem_request = mem_request[i];
+          t.cpu_usage = cpu_usage[i];
+          t.mem_usage = mem_usage[i];
+        }
+        break;
+      }
+      case SectionId::kJobs: {
+        trace::Job* dst = jobs.data() + g.row_begin;
+        for (std::size_t i = 0; i < n; ++i) {
+          trace::Job& j = dst[i];
+          put(&j.job_id, c.i64(ColumnId::kJobId), i);
+          put(&j.user_id, c.i64(ColumnId::kUserId), i);
+          put(&j.priority, c.u8(ColumnId::kPriority), i);
+          put(&j.submit_time, c.i64(ColumnId::kSubmitTime), i);
+          put(&j.end_time, c.i64(ColumnId::kEndTime), i);
+          put(&j.num_tasks, c.i64(ColumnId::kNumTasks), i);
+          put(&j.cpu_parallelism, c.f32(ColumnId::kCpuParallelism), i);
+          put(&j.mem_usage, c.f32(ColumnId::kMemUsage), i);
+        }
+        break;
+      }
+      case SectionId::kMachines: {
+        trace::Machine* dst = machines.data() + g.row_begin;
+        for (std::size_t i = 0; i < n; ++i) {
+          trace::Machine& m = dst[i];
+          put(&m.machine_id, c.i64(ColumnId::kMachineId), i);
+          put(&m.cpu_capacity, c.f32(ColumnId::kCpuCapacity), i);
+          put(&m.mem_capacity, c.f32(ColumnId::kMemCapacity), i);
+          put(&m.page_cache_capacity, c.f32(ColumnId::kPageCacheCapacity),
+              i);
+          put(&m.attributes, c.u8(ColumnId::kAttributes), i);
+        }
+        break;
+      }
+      case SectionId::kHostLoad:
+        for (const ColumnDef& d : section_columns(SectionId::kHostLoad)) {
+          const std::size_t k = col(d.column);
+          if (c.data[k] == nullptr) {
+            continue;
+          }
+          if (d.kind == ValueKind::kF32) {
+            std::copy_n(c.f32(d.column), n, hl_f32[k].begin() + g.row_begin);
+          } else {
+            std::transform(c.ints[k].begin(), c.ints[k].end(),
+                           hl_i32[k].begin() + g.row_begin,
+                           [](std::int64_t v) {
+                             return static_cast<std::int32_t>(v);
+                           });
+          }
+        }
+        break;
+      case SectionId::kEvents:
+        break;  // decoded above
     }
   }, /*grain=*/1);
 
@@ -535,178 +676,10 @@ trace::TraceSet StoreReader::load_trace_set() const {
     for (const auto& [begin, count] : lost) {
       rows->erase(rows->begin() + static_cast<std::ptrdiff_t>(begin),
                   rows->begin() + static_cast<std::ptrdiff_t>(begin + count));
-      account_lost_rows(count);
     }
   };
   compact(&tasks, std::move(lost_tasks));
   compact(&events, std::move(lost_events));
-
-  // The remaining sections are small (jobs, machines) or already land
-  // in flat per-column arrays (host load), so they decode chunk-wise.
-  // A damaged chunk here loses one column of a row range, not the whole
-  // record: degraded mode leaves those values zero-filled and accounts
-  // them, which keeps the host-load series time grids intact.
-  exec::parallel_for(0, chunks_.size(), [&](std::size_t ci) {
-    const ChunkMeta& c = chunks_[ci];
-    if (c.section == SectionId::kTasks || c.section == SectionId::kEvents) {
-      return;
-    }
-    if (mode_ == ReadMode::kDegraded && !chunk_ok(c)) {
-      util::MutexLock lock(damage_mutex_);
-      damage_.values_defaulted += c.row_count;
-      return;
-    }
-    const std::size_t lo = c.row_begin;
-    std::vector<std::int64_t> ints;
-    if (c.encoding == Encoding::kVarint ||
-        c.encoding == Encoding::kDeltaVarint) {
-      decode_i64(c, &ints);
-    }
-    auto f32 = [&] { return f32_span(c); };
-    auto u8 = [&] { return u8_span(c); };
-    switch (c.section) {
-      case SectionId::kTasks:
-      case SectionId::kEvents:
-        break;  // handled by the fused row-group passes above
-      case SectionId::kJobs:
-        switch (c.column) {
-          case ColumnId::kJobId:
-            for (std::size_t i = 0; i < ints.size(); ++i) {
-              jobs[lo + i].job_id = ints[i];
-            }
-            break;
-          case ColumnId::kUserId:
-            for (std::size_t i = 0; i < ints.size(); ++i) {
-              jobs[lo + i].user_id = ints[i];
-            }
-            break;
-          case ColumnId::kPriority: {
-            const auto s = u8();
-            for (std::size_t i = 0; i < s.size(); ++i) {
-              jobs[lo + i].priority = s[i];
-            }
-            break;
-          }
-          case ColumnId::kSubmitTime:
-            for (std::size_t i = 0; i < ints.size(); ++i) {
-              jobs[lo + i].submit_time = ints[i];
-            }
-            break;
-          case ColumnId::kEndTime:
-            for (std::size_t i = 0; i < ints.size(); ++i) {
-              jobs[lo + i].end_time = ints[i];
-            }
-            break;
-          case ColumnId::kNumTasks:
-            for (std::size_t i = 0; i < ints.size(); ++i) {
-              jobs[lo + i].num_tasks = static_cast<std::int32_t>(ints[i]);
-            }
-            break;
-          case ColumnId::kCpuParallelism: {
-            const auto s = f32();
-            for (std::size_t i = 0; i < s.size(); ++i) {
-              jobs[lo + i].cpu_parallelism = s[i];
-            }
-            break;
-          }
-          case ColumnId::kMemUsage: {
-            const auto s = f32();
-            for (std::size_t i = 0; i < s.size(); ++i) {
-              jobs[lo + i].mem_usage = s[i];
-            }
-            break;
-          }
-          default:
-            CGC_CHECK_MSG(false, "unknown jobs column in store file");
-        }
-        break;
-      case SectionId::kMachines:
-        switch (c.column) {
-          case ColumnId::kMachineId:
-            for (std::size_t i = 0; i < ints.size(); ++i) {
-              machines[lo + i].machine_id = ints[i];
-            }
-            break;
-          case ColumnId::kCpuCapacity: {
-            const auto s = f32();
-            for (std::size_t i = 0; i < s.size(); ++i) {
-              machines[lo + i].cpu_capacity = s[i];
-            }
-            break;
-          }
-          case ColumnId::kMemCapacity: {
-            const auto s = f32();
-            for (std::size_t i = 0; i < s.size(); ++i) {
-              machines[lo + i].mem_capacity = s[i];
-            }
-            break;
-          }
-          case ColumnId::kPageCacheCapacity: {
-            const auto s = f32();
-            for (std::size_t i = 0; i < s.size(); ++i) {
-              machines[lo + i].page_cache_capacity = s[i];
-            }
-            break;
-          }
-          case ColumnId::kAttributes: {
-            const auto s = u8();
-            for (std::size_t i = 0; i < s.size(); ++i) {
-              machines[lo + i].attributes = s[i];
-            }
-            break;
-          }
-          default:
-            CGC_CHECK_MSG(false, "unknown machines column in store file");
-        }
-        break;
-      case SectionId::kHostLoad: {
-        auto copy_f32 = [&](std::vector<float>* dst) {
-          const auto s = f32();
-          std::copy(s.begin(), s.end(), dst->begin() + lo);
-        };
-        auto copy_i32 = [&](std::vector<std::int32_t>* dst) {
-          for (std::size_t i = 0; i < ints.size(); ++i) {
-            (*dst)[lo + i] = static_cast<std::int32_t>(ints[i]);
-          }
-        };
-        switch (c.column) {
-          case ColumnId::kCpuLow:
-            copy_f32(&hl.cpu[0]);
-            break;
-          case ColumnId::kCpuMid:
-            copy_f32(&hl.cpu[1]);
-            break;
-          case ColumnId::kCpuHigh:
-            copy_f32(&hl.cpu[2]);
-            break;
-          case ColumnId::kMemLow:
-            copy_f32(&hl.mem[0]);
-            break;
-          case ColumnId::kMemMid:
-            copy_f32(&hl.mem[1]);
-            break;
-          case ColumnId::kMemHigh:
-            copy_f32(&hl.mem[2]);
-            break;
-          case ColumnId::kMemAssigned:
-            copy_f32(&hl.mem_assigned);
-            break;
-          case ColumnId::kPageCache:
-            copy_f32(&hl.page_cache);
-            break;
-          case ColumnId::kRunning:
-            copy_i32(&hl.running);
-            break;
-          case ColumnId::kPending:
-            copy_i32(&hl.pending);
-            break;
-          default:
-            CGC_CHECK_MSG(false, "unknown host-load column in store file");
-        }
-        break;
-      }
-    }
-  }, /*grain=*/1);
 
   // Rebuild the per-machine series from the flat columns; each series
   // owns a disjoint sample range, so this also fans out cleanly.
@@ -720,18 +693,21 @@ trace::TraceSet StoreReader::load_trace_set() const {
     HostLoadSeries series(meta.machine_id, meta.start, meta.period);
     const std::size_t base = series_offset[si];
     const std::size_t n = meta.samples;
+    const auto f32 = [&](ColumnId c) {
+      return std::span<const float>(hl_f32[col(c)]).subspan(base, n);
+    };
+    const auto i32 = [&](ColumnId c) {
+      return std::span<const std::int32_t>(hl_i32[col(c)]).subspan(base, n);
+    };
     const std::span<const float> cpu[kNumBands] = {
-        std::span(hl.cpu[0]).subspan(base, n),
-        std::span(hl.cpu[1]).subspan(base, n),
-        std::span(hl.cpu[2]).subspan(base, n)};
+        f32(ColumnId::kCpuLow), f32(ColumnId::kCpuMid),
+        f32(ColumnId::kCpuHigh)};
     const std::span<const float> mem[kNumBands] = {
-        std::span(hl.mem[0]).subspan(base, n),
-        std::span(hl.mem[1]).subspan(base, n),
-        std::span(hl.mem[2]).subspan(base, n)};
-    series.append_samples(cpu, mem, std::span(hl.mem_assigned).subspan(base, n),
-                          std::span(hl.page_cache).subspan(base, n),
-                          std::span(hl.running).subspan(base, n),
-                          std::span(hl.pending).subspan(base, n));
+        f32(ColumnId::kMemLow), f32(ColumnId::kMemMid),
+        f32(ColumnId::kMemHigh)};
+    series.append_samples(cpu, mem, f32(ColumnId::kMemAssigned),
+                          f32(ColumnId::kPageCache), i32(ColumnId::kRunning),
+                          i32(ColumnId::kPending));
     host_load[si] = std::move(series);
   }, /*grain=*/1);
 
@@ -747,126 +723,52 @@ trace::TraceSet StoreReader::load_trace_set() const {
   return trace;
 }
 
-std::vector<StoreReader::EventRowGroup> StoreReader::event_row_groups()
-    const {
-  std::map<std::uint64_t, EventRowGroup> groups;  // ordered by row_begin
-  for (const ChunkMeta& c : chunks_) {
-    if (c.section != SectionId::kEvents) {
-      continue;
-    }
-    EventRowGroup& g = groups[c.row_begin];
-    g.row_begin = c.row_begin;
-    g.row_count = c.row_count;
-    switch (c.column) {
-      case ColumnId::kTime:
-        g.time = &c;
-        break;
-      case ColumnId::kJobId:
-        g.job_id = &c;
-        break;
-      case ColumnId::kTaskIndex:
-        g.task_index = &c;
-        break;
-      case ColumnId::kMachineId:
-        g.machine_id = &c;
-        break;
-      case ColumnId::kEventType:
-        g.type = &c;
-        break;
-      case ColumnId::kPriority:
-        g.priority = &c;
-        break;
-      default:
-        CGC_CHECK_MSG(false, "unknown events column in store file");
-    }
-  }
-  std::vector<EventRowGroup> out;
-  out.reserve(groups.size());
-  for (const auto& [begin, g] : groups) {
-    CGC_CHECK_MSG(g.time && g.job_id && g.task_index && g.machine_id &&
-                      g.type && g.priority,
-                  bad_file(file_.path(), "events row group missing columns"));
-    out.push_back(g);
-  }
-  return out;
-}
-
 ScanStats StoreReader::scan(
     const EventPredicate& predicate,
     const std::function<void(std::span<const trace::TaskEvent>)>& fn) const {
   obs::ScopedTimer timer("store.scan");
-  const std::vector<EventRowGroup> groups = event_row_groups();
+  const std::span<const RowGroup> groups = this->groups(SectionId::kEvents);
   ScanStats stats;
   stats.row_groups_total = groups.size();
 
   // Zone-map pushdown: a group survives only if its time and job_id
   // ranges can intersect the predicate's bounds.
-  std::vector<const EventRowGroup*> survivors;
-  for (const EventRowGroup& g : groups) {
-    if (predicate.time_min && g.time->int_max < *predicate.time_min) {
-      continue;
-    }
-    if (predicate.time_max && g.time->int_min > *predicate.time_max) {
-      continue;
-    }
-    if (predicate.job_id_min && g.job_id->int_max < *predicate.job_id_min) {
-      continue;
-    }
-    if (predicate.job_id_max && g.job_id->int_min > *predicate.job_id_max) {
+  std::vector<const RowGroup*> survivors;
+  for (const RowGroup& g : groups) {
+    const ChunkMeta& time = *g.cols[col(ColumnId::kTime)];
+    const ChunkMeta& job_id = *g.cols[col(ColumnId::kJobId)];
+    if ((predicate.time_min && time.int_max < *predicate.time_min) ||
+        (predicate.time_max && time.int_min > *predicate.time_max) ||
+        (predicate.job_id_min && job_id.int_max < *predicate.job_id_min) ||
+        (predicate.job_id_max && job_id.int_min > *predicate.job_id_max)) {
       continue;
     }
     survivors.push_back(&g);
   }
   stats.row_groups_scanned = survivors.size();
 
-  // Decode surviving groups in parallel; deliver serially in file order.
+  // Decode surviving groups in parallel with load_trace_set()'s events
+  // decoder, keep the matches, and deliver them serially in file order.
   std::vector<std::vector<trace::TaskEvent>> slots(survivors.size());
   std::atomic<std::size_t> decoded{0};
-  std::atomic<std::size_t> matched{0};
   exec::parallel_for(0, survivors.size(), [&](std::size_t gi) {
-    const EventRowGroup& g = *survivors[gi];
-    if (mode_ == ReadMode::kDegraded) {
-      bool bad = false;
-      for (const ChunkMeta* c :
-           {g.time, g.job_id, g.task_index, g.machine_id, g.type,
-            g.priority}) {
-        if (!chunk_ok(*c)) {
-          bad = true;  // keep checking: record every damaged chunk
-        }
-      }
-      if (bad) {
-        util::MutexLock lock(damage_mutex_);
-        damage_.rows_lost += g.row_count;
-        return;
-      }
+    const RowGroup& g = *survivors[gi];
+    if (damaged_columns(g) != 0) {
+      account_loss(g.row_count, 0);
+      return;
     }
-    std::vector<std::int64_t> time, job_id, task_index, machine_id;
-    decode_i64(*g.time, &time);
-    decode_i64(*g.job_id, &job_id);
-    decode_i64(*g.task_index, &task_index);
-    decode_i64(*g.machine_id, &machine_id);
-    const auto type = u8_span(*g.type);
-    const auto priority = u8_span(*g.priority);
-    std::vector<trace::TaskEvent>& out = slots[gi];
-    for (std::size_t i = 0; i < g.row_count; ++i) {
-      trace::TaskEvent e;
-      e.time = time[i];
-      e.job_id = job_id[i];
-      e.task_index = static_cast<std::int32_t>(task_index[i]);
-      e.machine_id = machine_id[i];
-      e.type = static_cast<trace::TaskEventType>(type[i]);
-      e.priority = priority[i];
-      if (predicate.matches(e)) {
-        out.push_back(e);
-      }
-    }
+    std::vector<trace::TaskEvent> rows(g.row_count);
+    decode_events(g, rows.data());
+    std::copy_if(rows.begin(), rows.end(), std::back_inserter(slots[gi]),
+                 [&predicate](const trace::TaskEvent& e) {
+                   return predicate.matches(e);
+                 });
     decoded.fetch_add(g.row_count, std::memory_order_relaxed);
-    matched.fetch_add(out.size(), std::memory_order_relaxed);
   }, /*grain=*/1);
   stats.rows_decoded = decoded.load();
-  stats.rows_matched = matched.load();
 
   for (const std::vector<trace::TaskEvent>& slot : slots) {
+    stats.rows_matched += slot.size();
     if (!slot.empty()) {
       fn(slot);
     }

@@ -7,18 +7,24 @@
 //   * scan(): predicate-pushdown scan over the events section that
 //     skips whole chunks via zone maps before touching their bytes.
 //
-// Validation: header/trailer magic, format version, footer CRC and
-// bounds are checked at open; each chunk's CRC-32 is checked once on
-// first access. Corrupted or truncated files throw cgc::util::DataError
-// in strict mode. In degraded mode (ReadMode::kDegraded) damaged chunks
-// are quarantined instead: scans skip the row groups they belong to,
-// load_trace_set() drops (tasks/events) or zero-fills (small sections)
-// the affected rows, and the per-reader DamageReport accounts for every
-// chunk skipped, row lost, and byte range affected. Structural damage —
-// header, trailer, or footer — is unrecoverable in either mode because
-// without the directory there is nothing to quarantine.
+// Validation: the constructor checks header/trailer magic, format
+// version and footer CRC, then builds one row-group index per section
+// from the chunk directory — the only place the directory is checked
+// (column ids, row ranges, payload bounds, each row group holding its
+// section's columns once, groups tiling their section). Each chunk's
+// CRC-32 is checked once on first access. Corrupted or truncated files
+// throw cgc::util::DataError in strict mode. In degraded mode
+// (ReadMode::kDegraded) damaged chunks are quarantined instead: scans
+// skip the row groups they belong to, load_trace_set() drops
+// (tasks/events) or default-fills (small sections) the affected rows,
+// and the per-reader DamageReport accounts for every chunk skipped, row
+// lost, and byte range affected. Structural damage — header, trailer,
+// footer, or a directory whose row groups do not add up — is
+// unrecoverable in either mode: with no trusted layout there is nothing
+// to quarantine around.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -54,8 +60,8 @@ struct QuarantinedChunk {
 
 /// What a degraded read lost. rows_lost counts tasks/events rows whose
 /// row group was dropped; values_defaulted counts rows of small-section
-/// columns (jobs/machines/host-load) that were zero-filled because
-/// their chunk was quarantined.
+/// columns (jobs/machines/host-load) left at the record defaults
+/// because their chunk was quarantined.
 struct DamageReport {
   std::vector<QuarantinedChunk> chunks;
   std::uint64_t rows_lost = 0;
@@ -110,10 +116,11 @@ struct ScanStats {
 class StoreReader {
  public:
   /// Opens and validates `path`; throws cgc::util::Error on a missing
-  /// or structurally damaged file (header/trailer/footer). In strict
-  /// mode chunk-level damage also throws (cgc::util::DataError), on
-  /// first access; in degraded mode it is quarantined and accounted in
-  /// damage().
+  /// file and cgc::util::DataError on a structurally damaged one
+  /// (header/trailer/footer/row-group layout). In strict mode
+  /// chunk-level damage also throws DataError, at open (bounds) or on
+  /// first access (CRC); in degraded mode it is quarantined and
+  /// accounted in damage().
   explicit StoreReader(const std::string& path,
                        ReadMode mode = ReadMode::kStrict);
   ~StoreReader();
@@ -154,8 +161,8 @@ class StoreReader {
   /// race free and the result independent of the thread count); the
   /// result is finalized and ready for analyzers. Degraded mode drops
   /// damaged tasks/events row groups (the arrays are compacted) and
-  /// zero-fills damaged small-section columns, accounting both in
-  /// damage().
+  /// leaves damaged small-section columns at the record defaults,
+  /// accounting both in damage().
   trace::TraceSet load_trace_set() const;
 
   /// Streams events matching `predicate` to `fn`, one span per row
@@ -173,12 +180,29 @@ class StoreReader {
       const EventPredicate& predicate) const;
 
  private:
-  struct EventRowGroup;
+  /// One row group of a section: its row range and, per column the
+  /// section defines, that column's chunk (null for other column ids).
+  struct RowGroup {
+    SectionId section = SectionId::kJobs;
+    std::uint64_t row_begin = 0;
+    std::uint64_t row_count = 0;
+    std::array<const ChunkMeta*, kNumColumnIds> cols{};
+  };
+  struct GroupColumns;
 
   std::span<const std::uint8_t> payload(const ChunkMeta& chunk) const;
   void parse_footer();
-  void validate_chunks();
-  std::vector<EventRowGroup> event_row_groups() const;
+  /// Checks every directory entry and groups the chunks into groups_.
+  void build_index();
+  std::span<const RowGroup> groups(SectionId section) const;
+  /// Degraded mode: verifies every chunk of `g` and returns the damaged
+  /// ones' columns as a bitmask over ColumnId. Strict mode: 0 (damage
+  /// throws on access instead).
+  std::uint32_t damaged_columns(const RowGroup& g) const;
+  /// Decodes `g`'s columns except those in the `skip` bitmask.
+  GroupColumns decode_group(const RowGroup& g, std::uint32_t skip) const;
+  /// Decodes events row group `g` into dst[0, g.row_count).
+  void decode_events(const RowGroup& g, trace::TaskEvent* dst) const;
   /// Directory index of `chunk`, or npos for a copy from outside.
   std::size_t chunk_index(const ChunkMeta& chunk) const;
   /// "" when the chunk's payload verifies (fault injection + CRC),
@@ -186,6 +210,8 @@ class StoreReader {
   /// chunks.
   std::string verify_payload(const ChunkMeta& chunk) const;
   void quarantine(const ChunkMeta& chunk, const std::string& reason) const;
+  void account_loss(std::uint64_t rows_lost,
+                    std::uint64_t values_defaulted) const;
 
   MmapFile file_;
   ReadMode mode_ = ReadMode::kStrict;
@@ -200,6 +226,10 @@ class StoreReader {
   };
   std::vector<SeriesMeta> series_;
   std::vector<ChunkMeta> chunks_;
+  /// Every section's row groups, ordered by (section, row_begin);
+  /// section s owns [section_begin_[s], section_begin_[s + 1]).
+  std::vector<RowGroup> groups_;
+  std::array<std::size_t, kNumSections + 1> section_begin_{};
   /// One flag per chunk: CRC verified. First access verifies; races are
   /// benign (both sides compute the same answer).
   mutable std::vector<std::atomic<bool>> crc_checked_;

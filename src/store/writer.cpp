@@ -5,7 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
-#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "store/encoding.hpp"
@@ -37,72 +37,44 @@ class FileBuilder {
     write_bytes(header.bytes());
   }
 
-  /// Integer column: one chunk per row group, zigzag varint, optionally
-  /// delta-encoded. `get(i)` returns row i's value.
-  void add_i64_column(SectionId section, ColumnId column, std::size_t rows,
-                      bool delta,
-                      const std::function<std::int64_t(std::size_t)>& get) {
-    std::vector<std::int64_t> scratch;
-    std::vector<std::uint8_t> payload;
+  /// One column, one chunk per row group: varint (zigzag, optionally
+  /// delta-encoded) for integer encodings, raw little-endian arrays
+  /// otherwise — the reader exposes raw chunks zero-copy. `get(i)`
+  /// returns row i's value.
+  template <Encoding E, typename Get>
+  void add_column(SectionId section, ColumnId column, std::size_t rows,
+                  Get get) {
+    using T = std::conditional_t<
+        E == Encoding::kRawF32, float,
+        std::conditional_t<E == Encoding::kRawU8, std::uint8_t,
+                           std::int64_t>>;
+    std::vector<T> scratch;
+    std::vector<std::uint8_t> encoded;
     for_each_row_group(rows, [&](std::size_t lo, std::size_t hi) {
       scratch.clear();
       scratch.reserve(hi - lo);
       for (std::size_t i = lo; i < hi; ++i) {
-        scratch.push_back(get(i));
+        scratch.push_back(static_cast<T>(get(i)));
       }
-      payload.clear();
-      encode_i64_column(scratch, delta, &payload);
-      ChunkMeta meta = base_meta(section, column,
-                                 delta ? Encoding::kDeltaVarint
-                                       : Encoding::kVarint,
-                                 lo, hi - lo);
-      for (const std::int64_t v : scratch) {
-        meta.int_min = std::min(meta.int_min, v);
-        meta.int_max = std::max(meta.int_max, v);
+      ChunkMeta meta = base_meta(section, column, E, lo, hi - lo);
+      for (const T v : scratch) {
+        if constexpr (E == Encoding::kRawF32) {
+          meta.real_min = std::min(meta.real_min, static_cast<double>(v));
+          meta.real_max = std::max(meta.real_max, static_cast<double>(v));
+        } else {
+          meta.int_min = std::min<std::int64_t>(meta.int_min, v);
+          meta.int_max = std::max<std::int64_t>(meta.int_max, v);
+        }
       }
-      append_chunk(meta, payload);
-    });
-  }
-
-  /// Raw float column; the reader exposes these chunks zero-copy.
-  void add_f32_column(SectionId section, ColumnId column, std::size_t rows,
-                      const std::function<float(std::size_t)>& get) {
-    std::vector<float> scratch;
-    for_each_row_group(rows, [&](std::size_t lo, std::size_t hi) {
-      scratch.clear();
-      scratch.reserve(hi - lo);
-      for (std::size_t i = lo; i < hi; ++i) {
-        scratch.push_back(get(i));
+      if constexpr (std::is_same_v<T, std::int64_t>) {
+        encoded.clear();
+        encode_i64_column(scratch, E == Encoding::kDeltaVarint, &encoded);
+        append_chunk(meta, encoded);
+      } else {
+        append_chunk(meta,
+                     {reinterpret_cast<const std::uint8_t*>(scratch.data()),
+                      scratch.size() * sizeof(T)});
       }
-      ChunkMeta meta =
-          base_meta(section, column, Encoding::kRawF32, lo, hi - lo);
-      for (const float v : scratch) {
-        meta.real_min = std::min(meta.real_min, static_cast<double>(v));
-        meta.real_max = std::max(meta.real_max, static_cast<double>(v));
-      }
-      append_chunk(meta,
-                   {reinterpret_cast<const std::uint8_t*>(scratch.data()),
-                    scratch.size() * sizeof(float)});
-    });
-  }
-
-  /// Raw byte column (enums, priorities, attribute masks).
-  void add_u8_column(SectionId section, ColumnId column, std::size_t rows,
-                     const std::function<std::uint8_t(std::size_t)>& get) {
-    std::vector<std::uint8_t> scratch;
-    for_each_row_group(rows, [&](std::size_t lo, std::size_t hi) {
-      scratch.clear();
-      scratch.reserve(hi - lo);
-      for (std::size_t i = lo; i < hi; ++i) {
-        scratch.push_back(get(i));
-      }
-      ChunkMeta meta =
-          base_meta(section, column, Encoding::kRawU8, lo, hi - lo);
-      for (const std::uint8_t v : scratch) {
-        meta.int_min = std::min<std::int64_t>(meta.int_min, v);
-        meta.int_max = std::max<std::int64_t>(meta.int_max, v);
-      }
-      append_chunk(meta, scratch);
     });
   }
 
@@ -243,25 +215,19 @@ class HostLoadCursor {
   std::size_t flat_ = 0;
 };
 
-/// Makes a float getter over the flattened host-load rows using
-/// `metric(series, sample_index)`.
-std::function<float(std::size_t)> hostload_f32(
-    std::span<const HostLoadSeries> series,
-    std::function<float(const HostLoadSeries&, std::size_t)> metric) {
-  auto cursor = std::make_shared<HostLoadCursor>(series);
-  return [cursor, metric = std::move(metric)](std::size_t i) {
-    cursor->advance_to(i);
-    return metric(cursor->series(), cursor->sample());
-  };
+/// Getter for `field` of row i of `rows`.
+template <typename Row, typename Field>
+auto field_of(std::span<const Row> rows, Field Row::*field) {
+  return [rows, field](std::size_t i) { return rows[i].*field; };
 }
 
-std::function<std::int64_t(std::size_t)> hostload_i64(
-    std::span<const HostLoadSeries> series,
-    std::function<std::int64_t(const HostLoadSeries&, std::size_t)> metric) {
-  auto cursor = std::make_shared<HostLoadCursor>(series);
-  return [cursor, metric = std::move(metric)](std::size_t i) {
-    cursor->advance_to(i);
-    return metric(cursor->series(), cursor->sample());
+/// Getter over the flattened host-load rows: row i's value is
+/// `metric(series, sample_index)`.
+template <typename Metric>
+auto hostload_column(std::span<const HostLoadSeries> series, Metric metric) {
+  return [cursor = HostLoadCursor(series), metric](std::size_t i) mutable {
+    cursor.advance_to(i);
+    return metric(cursor.series(), cursor.sample());
   };
 }
 
@@ -272,94 +238,95 @@ void write_cgcs(const trace::TraceSet& trace, const std::string& path,
   CGC_CHECK_MSG(options.chunks.rows_per_chunk > 0,
                 "rows_per_chunk must be positive");
   FileBuilder file(path, options.chunks);
+  using enum Encoding;
+  using trace::Job;
+  using trace::Machine;
+  using trace::Task;
+  using trace::TaskEvent;
 
   // -- jobs -----------------------------------------------------------------
   const auto jobs = trace.jobs();
   const std::size_t nj = jobs.size();
-  file.add_i64_column(SectionId::kJobs, ColumnId::kJobId, nj, false,
-                      [&](std::size_t i) { return jobs[i].job_id; });
-  file.add_i64_column(SectionId::kJobs, ColumnId::kUserId, nj, false,
-                      [&](std::size_t i) { return jobs[i].user_id; });
-  file.add_u8_column(SectionId::kJobs, ColumnId::kPriority, nj,
-                     [&](std::size_t i) { return jobs[i].priority; });
+  file.add_column<kVarint>(SectionId::kJobs, ColumnId::kJobId, nj,
+                           field_of(jobs, &Job::job_id));
+  file.add_column<kVarint>(SectionId::kJobs, ColumnId::kUserId, nj,
+                           field_of(jobs, &Job::user_id));
+  file.add_column<kRawU8>(SectionId::kJobs, ColumnId::kPriority, nj,
+                          field_of(jobs, &Job::priority));
   // Jobs are sorted by submit time after finalize(): delta-encode.
-  file.add_i64_column(SectionId::kJobs, ColumnId::kSubmitTime, nj, true,
-                      [&](std::size_t i) { return jobs[i].submit_time; });
-  file.add_i64_column(SectionId::kJobs, ColumnId::kEndTime, nj, false,
-                      [&](std::size_t i) { return jobs[i].end_time; });
-  file.add_i64_column(SectionId::kJobs, ColumnId::kNumTasks, nj, false,
-                      [&](std::size_t i) { return jobs[i].num_tasks; });
-  file.add_f32_column(SectionId::kJobs, ColumnId::kCpuParallelism, nj,
-                      [&](std::size_t i) { return jobs[i].cpu_parallelism; });
-  file.add_f32_column(SectionId::kJobs, ColumnId::kMemUsage, nj,
-                      [&](std::size_t i) { return jobs[i].mem_usage; });
+  file.add_column<kDeltaVarint>(SectionId::kJobs, ColumnId::kSubmitTime, nj,
+                                field_of(jobs, &Job::submit_time));
+  file.add_column<kVarint>(SectionId::kJobs, ColumnId::kEndTime, nj,
+                           field_of(jobs, &Job::end_time));
+  file.add_column<kVarint>(SectionId::kJobs, ColumnId::kNumTasks, nj,
+                           field_of(jobs, &Job::num_tasks));
+  file.add_column<kRawF32>(SectionId::kJobs, ColumnId::kCpuParallelism, nj,
+                           field_of(jobs, &Job::cpu_parallelism));
+  file.add_column<kRawF32>(SectionId::kJobs, ColumnId::kMemUsage, nj,
+                           field_of(jobs, &Job::mem_usage));
 
   // -- tasks ----------------------------------------------------------------
   const auto tasks = trace.tasks();
   const std::size_t nt = tasks.size();
   // Tasks are sorted by (job_id, task_index) after finalize().
-  file.add_i64_column(SectionId::kTasks, ColumnId::kJobId, nt, true,
-                      [&](std::size_t i) { return tasks[i].job_id; });
-  file.add_i64_column(SectionId::kTasks, ColumnId::kTaskIndex, nt, false,
-                      [&](std::size_t i) { return tasks[i].task_index; });
-  file.add_u8_column(SectionId::kTasks, ColumnId::kPriority, nt,
-                     [&](std::size_t i) { return tasks[i].priority; });
-  file.add_i64_column(SectionId::kTasks, ColumnId::kSubmitTime, nt, false,
-                      [&](std::size_t i) { return tasks[i].submit_time; });
-  file.add_i64_column(SectionId::kTasks, ColumnId::kScheduleTime, nt, false,
-                      [&](std::size_t i) { return tasks[i].schedule_time; });
-  file.add_i64_column(SectionId::kTasks, ColumnId::kEndTime, nt, false,
-                      [&](std::size_t i) { return tasks[i].end_time; });
-  file.add_u8_column(
-      SectionId::kTasks, ColumnId::kEndEvent, nt, [&](std::size_t i) {
-        return static_cast<std::uint8_t>(tasks[i].end_event);
-      });
-  file.add_i64_column(SectionId::kTasks, ColumnId::kMachineId, nt, false,
-                      [&](std::size_t i) { return tasks[i].machine_id; });
-  file.add_i64_column(SectionId::kTasks, ColumnId::kResubmits, nt, false,
-                      [&](std::size_t i) { return tasks[i].resubmits; });
-  file.add_f32_column(SectionId::kTasks, ColumnId::kCpuRequest, nt,
-                      [&](std::size_t i) { return tasks[i].cpu_request; });
-  file.add_f32_column(SectionId::kTasks, ColumnId::kMemRequest, nt,
-                      [&](std::size_t i) { return tasks[i].mem_request; });
-  file.add_f32_column(SectionId::kTasks, ColumnId::kCpuUsage, nt,
-                      [&](std::size_t i) { return tasks[i].cpu_usage; });
-  file.add_f32_column(SectionId::kTasks, ColumnId::kMemUsage, nt,
-                      [&](std::size_t i) { return tasks[i].mem_usage; });
+  file.add_column<kDeltaVarint>(SectionId::kTasks, ColumnId::kJobId, nt,
+                                field_of(tasks, &Task::job_id));
+  file.add_column<kVarint>(SectionId::kTasks, ColumnId::kTaskIndex, nt,
+                           field_of(tasks, &Task::task_index));
+  file.add_column<kRawU8>(SectionId::kTasks, ColumnId::kPriority, nt,
+                          field_of(tasks, &Task::priority));
+  file.add_column<kVarint>(SectionId::kTasks, ColumnId::kSubmitTime, nt,
+                           field_of(tasks, &Task::submit_time));
+  file.add_column<kVarint>(SectionId::kTasks, ColumnId::kScheduleTime, nt,
+                           field_of(tasks, &Task::schedule_time));
+  file.add_column<kVarint>(SectionId::kTasks, ColumnId::kEndTime, nt,
+                           field_of(tasks, &Task::end_time));
+  file.add_column<kRawU8>(SectionId::kTasks, ColumnId::kEndEvent, nt,
+                          field_of(tasks, &Task::end_event));
+  file.add_column<kVarint>(SectionId::kTasks, ColumnId::kMachineId, nt,
+                           field_of(tasks, &Task::machine_id));
+  file.add_column<kVarint>(SectionId::kTasks, ColumnId::kResubmits, nt,
+                           field_of(tasks, &Task::resubmits));
+  file.add_column<kRawF32>(SectionId::kTasks, ColumnId::kCpuRequest, nt,
+                           field_of(tasks, &Task::cpu_request));
+  file.add_column<kRawF32>(SectionId::kTasks, ColumnId::kMemRequest, nt,
+                           field_of(tasks, &Task::mem_request));
+  file.add_column<kRawF32>(SectionId::kTasks, ColumnId::kCpuUsage, nt,
+                           field_of(tasks, &Task::cpu_usage));
+  file.add_column<kRawF32>(SectionId::kTasks, ColumnId::kMemUsage, nt,
+                           field_of(tasks, &Task::mem_usage));
 
   // -- events ---------------------------------------------------------------
   const auto events = trace.events();
   const std::size_t ne = events.size();
   // Events are time-sorted after finalize(): delta-encode the clock.
-  file.add_i64_column(SectionId::kEvents, ColumnId::kTime, ne, true,
-                      [&](std::size_t i) { return events[i].time; });
-  file.add_i64_column(SectionId::kEvents, ColumnId::kJobId, ne, false,
-                      [&](std::size_t i) { return events[i].job_id; });
-  file.add_i64_column(SectionId::kEvents, ColumnId::kTaskIndex, ne, false,
-                      [&](std::size_t i) { return events[i].task_index; });
-  file.add_i64_column(SectionId::kEvents, ColumnId::kMachineId, ne, false,
-                      [&](std::size_t i) { return events[i].machine_id; });
-  file.add_u8_column(
-      SectionId::kEvents, ColumnId::kEventType, ne, [&](std::size_t i) {
-        return static_cast<std::uint8_t>(events[i].type);
-      });
-  file.add_u8_column(SectionId::kEvents, ColumnId::kPriority, ne,
-                     [&](std::size_t i) { return events[i].priority; });
+  file.add_column<kDeltaVarint>(SectionId::kEvents, ColumnId::kTime, ne,
+                                field_of(events, &TaskEvent::time));
+  file.add_column<kVarint>(SectionId::kEvents, ColumnId::kJobId, ne,
+                           field_of(events, &TaskEvent::job_id));
+  file.add_column<kVarint>(SectionId::kEvents, ColumnId::kTaskIndex, ne,
+                           field_of(events, &TaskEvent::task_index));
+  file.add_column<kVarint>(SectionId::kEvents, ColumnId::kMachineId, ne,
+                           field_of(events, &TaskEvent::machine_id));
+  file.add_column<kRawU8>(SectionId::kEvents, ColumnId::kEventType, ne,
+                          field_of(events, &TaskEvent::type));
+  file.add_column<kRawU8>(SectionId::kEvents, ColumnId::kPriority, ne,
+                          field_of(events, &TaskEvent::priority));
 
   // -- machines -------------------------------------------------------------
   const auto machines = trace.machines();
   const std::size_t nm = machines.size();
-  file.add_i64_column(SectionId::kMachines, ColumnId::kMachineId, nm, false,
-                      [&](std::size_t i) { return machines[i].machine_id; });
-  file.add_f32_column(SectionId::kMachines, ColumnId::kCpuCapacity, nm,
-                      [&](std::size_t i) { return machines[i].cpu_capacity; });
-  file.add_f32_column(SectionId::kMachines, ColumnId::kMemCapacity, nm,
-                      [&](std::size_t i) { return machines[i].mem_capacity; });
-  file.add_f32_column(
-      SectionId::kMachines, ColumnId::kPageCacheCapacity, nm,
-      [&](std::size_t i) { return machines[i].page_cache_capacity; });
-  file.add_u8_column(SectionId::kMachines, ColumnId::kAttributes, nm,
-                     [&](std::size_t i) { return machines[i].attributes; });
+  file.add_column<kVarint>(SectionId::kMachines, ColumnId::kMachineId, nm,
+                           field_of(machines, &Machine::machine_id));
+  file.add_column<kRawF32>(SectionId::kMachines, ColumnId::kCpuCapacity, nm,
+                           field_of(machines, &Machine::cpu_capacity));
+  file.add_column<kRawF32>(SectionId::kMachines, ColumnId::kMemCapacity, nm,
+                           field_of(machines, &Machine::mem_capacity));
+  file.add_column<kRawF32>(SectionId::kMachines,
+                           ColumnId::kPageCacheCapacity, nm,
+                           field_of(machines, &Machine::page_cache_capacity));
+  file.add_column<kRawU8>(SectionId::kMachines, ColumnId::kAttributes, nm,
+                          field_of(machines, &Machine::attributes));
 
   // -- host load (flattened series-major) -----------------------------------
   const auto host_load = trace.host_load();
@@ -381,34 +348,34 @@ void write_cgcs(const trace::TraceSet& trace, const std::string& path,
       {ColumnId::kMemHigh, PriorityBand::kHigh, false},
   };
   for (const auto& bc : band_columns) {
-    file.add_f32_column(
+    file.add_column<kRawF32>(
         SectionId::kHostLoad, bc.column, ns,
-        hostload_f32(host_load,
-                     [band = bc.band, is_cpu = bc.is_cpu](
-                         const HostLoadSeries& h, std::size_t i) {
-                       return is_cpu ? h.cpu(band, i) : h.mem(band, i);
-                     }));
+        hostload_column(host_load, [band = bc.band, is_cpu = bc.is_cpu](
+                                       const HostLoadSeries& h,
+                                       std::size_t i) {
+          return is_cpu ? h.cpu(band, i) : h.mem(band, i);
+        }));
   }
-  file.add_f32_column(SectionId::kHostLoad, ColumnId::kMemAssigned, ns,
-                      hostload_f32(host_load,
-                                   [](const HostLoadSeries& h, std::size_t i) {
-                                     return h.mem_assigned(i);
-                                   }));
-  file.add_f32_column(SectionId::kHostLoad, ColumnId::kPageCache, ns,
-                      hostload_f32(host_load,
-                                   [](const HostLoadSeries& h, std::size_t i) {
-                                     return h.page_cache(i);
-                                   }));
-  file.add_i64_column(SectionId::kHostLoad, ColumnId::kRunning, ns, false,
-                      hostload_i64(host_load,
-                                   [](const HostLoadSeries& h, std::size_t i) {
-                                     return h.running(i);
-                                   }));
-  file.add_i64_column(SectionId::kHostLoad, ColumnId::kPending, ns, false,
-                      hostload_i64(host_load,
-                                   [](const HostLoadSeries& h, std::size_t i) {
-                                     return h.pending(i);
-                                   }));
+  file.add_column<kRawF32>(
+      SectionId::kHostLoad, ColumnId::kMemAssigned, ns,
+      hostload_column(host_load, [](const HostLoadSeries& h, std::size_t i) {
+        return h.mem_assigned(i);
+      }));
+  file.add_column<kRawF32>(
+      SectionId::kHostLoad, ColumnId::kPageCache, ns,
+      hostload_column(host_load, [](const HostLoadSeries& h, std::size_t i) {
+        return h.page_cache(i);
+      }));
+  file.add_column<kVarint>(
+      SectionId::kHostLoad, ColumnId::kRunning, ns,
+      hostload_column(host_load, [](const HostLoadSeries& h, std::size_t i) {
+        return h.running(i);
+      }));
+  file.add_column<kVarint>(
+      SectionId::kHostLoad, ColumnId::kPending, ns,
+      hostload_column(host_load, [](const HostLoadSeries& h, std::size_t i) {
+        return h.pending(i);
+      }));
 
   file.finish(trace, ns);
 }

@@ -10,7 +10,9 @@ dirs:
   * only shard 0/2 present: exit 1 (resumable — run the other shard);
   * shard 0's checkpoint copied under a second plan-shard-*.cgcp name
     (overlapping ownership): exit 2 (the inputs conflict);
-  * a torn checkpoint: exit 1 (resumable — rerun that shard).
+  * a torn checkpoint: exit 1 (resumable — rerun that shard);
+  * a torn checkpoint next to an overlapping copy: exit 2 (the conflict
+    outranks the unfinished shard).
 """
 
 import os
@@ -86,7 +88,14 @@ def main():
             f.write(sealed[: len(sealed) // 2])
         expect_exit(exe, ["--out", torn, "--merge"], 1, stderr_has="torn")
 
-        for out in (partial, overlap, torn):
+        torn_overlap = os.path.join(tmp, "torn_overlap")
+        shutil.copytree(torn, torn_overlap)
+        shutil.copy(shard_path(sharded, 0),
+                    os.path.join(torn_overlap, "plan-shard-0-of-2.copy.cgcp"))
+        expect_exit(exe, ["--out", torn_overlap, "--merge"], 2,
+                    stderr_has="claimed by both")
+
+        for out in (partial, overlap, torn, torn_overlap):
             assert not os.path.exists(os.path.join(out, "plan.json")), out
 
     print("cgc_plan_cli: ok")

@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <ostream>
 #include <set>
 #include <string>
 #include <utility>
@@ -294,48 +296,193 @@ TEST_F(StoreDegradedTest, RepairRewritesCleanScanningFile) {
   EXPECT_EQ(clean.tasks().size(), kNumTasks);
 }
 
-TEST_F(StoreDegradedTest, BoundsInvalidChunkQuarantinedAtOpen) {
-  // Point the last directory entry's offset past EOF and re-seal the
-  // footer CRC, so only chunk-level validation can object. Directory
-  // entries are fixed-size (3x u8 + 4x u64 + 2x i64 + 2x f64 + u32 =
-  // 71 bytes) and the directory is the footer's tail.
-  constexpr std::size_t kEntrySize = 71;
-  const std::size_t trailer_at = bytes_.size() - kTrailerSize;
-  std::uint64_t footer_offset = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    footer_offset |= static_cast<std::uint64_t>(
-                         static_cast<unsigned char>(bytes_[trailer_at + i]))
-                     << (8 * i);
-  }
-  std::string mutated = bytes_;
-  // Re-point the chunk at the footer itself: its payload then ends past
-  // footer_offset, tripping "chunk payload out of bounds" without the
-  // u64 overflow an all-FF offset would invite.
-  const std::size_t offset_field = trailer_at - kEntrySize + 3;
-  for (std::size_t i = 0; i < 8; ++i) {
-    mutated[offset_field + i] =
-        static_cast<char>((footer_offset >> (8 * i)) & 0xFF);
-  }
-  const std::uint32_t new_crc = crc32(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(mutated.data()) + footer_offset,
-      trailer_at - footer_offset));
-  for (std::size_t i = 0; i < 4; ++i) {
-    mutated[trailer_at + 8 + i] =
-        static_cast<char>((new_crc >> (8 * i)) & 0xFF);
-  }
-  spit(path_, mutated);
+// ---------------------------------------------------------------------------
+// Resealed-footer mutations: each row edits one footer field and then
+// recomputes the footer CRC, so only the reader's directory checks can
+// object. Strict open must throw DataError; degraded mode either refuses
+// the open with DataError (the layout itself is damaged) or quarantines
+// the chunk and loses a known, accounted amount.
+// ---------------------------------------------------------------------------
 
-  EXPECT_THROW(StoreReader{path_}, util::DataError);
+/// Byte offsets into a sealed file's footer.
+class FooterEdit {
+ public:
+  /// Fixed directory entry size: 3x u8 + 4x u64 + 2x i64 + 2x f64 + u32.
+  static constexpr std::size_t kEntrySize = 71;
+  static constexpr std::size_t kColumn = 1;
+  static constexpr std::size_t kEncoding = 2;
+  static constexpr std::size_t kOffset = 3;
+  static constexpr std::size_t kRowBegin = 19;
 
+  FooterEdit(std::string bytes, std::vector<ChunkMeta> chunks)
+      : bytes_(std::move(bytes)),
+        chunks_(std::move(chunks)),
+        trailer_at_(bytes_.size() - kTrailerSize) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      footer_offset_ |= static_cast<std::uint64_t>(static_cast<unsigned char>(
+                            bytes_[trailer_at_ + i]))
+                        << (8 * i);
+    }
+  }
+
+  /// Footer position of the first directory entry matching `section`
+  /// (and `column`, when given); fails the test if there is none.
+  std::size_t entry(SectionId section,
+                    std::optional<ColumnId> column = std::nullopt) const {
+    for (std::size_t i = 0; i < chunks_.size(); ++i) {
+      if (chunks_[i].section == section &&
+          (!column || chunks_[i].column == *column)) {
+        return trailer_at_ - (chunks_.size() - i) * kEntrySize;
+      }
+    }
+    ADD_FAILURE() << "no chunk in section " << static_cast<int>(section);
+    return 0;
+  }
+
+  /// Footer position of the host-load series count: u32 version, the
+  /// length-prefixed system name, i64 duration, u8 memory_in_mb and
+  /// five u64 section row counts come first.
+  std::size_t num_series(std::size_t system_name_size) const {
+    return footer_offset_ + 4 + 4 + system_name_size + 8 + 1 + 5 * 8;
+  }
+
+  void set(std::size_t at, std::uint64_t value, std::size_t width) {
+    for (std::size_t i = 0; i < width; ++i) {
+      bytes_[at + i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+    }
+  }
+
+  /// The edited file with its footer CRC recomputed.
+  std::string sealed() {
+    const std::uint32_t crc = crc32(std::span<const std::uint8_t>(
+        reinterpret_cast<const std::uint8_t*>(bytes_.data()) + footer_offset_,
+        trailer_at_ - footer_offset_));
+    set(trailer_at_ + 8, crc, 4);
+    return bytes_;
+  }
+
+  std::uint64_t footer_offset() const { return footer_offset_; }
+
+ private:
+  std::string bytes_;
+  std::vector<ChunkMeta> chunks_;
+  std::size_t trailer_at_;
+  std::uint64_t footer_offset_ = 0;
+};
+
+struct DirectoryMutation {
+  const char* name;
+  void (*edit)(FooterEdit*);
+  const char* strict_error;  ///< substring of the strict DataError
+  bool degraded_opens;       ///< quarantine (true) or refuse (false)
+};
+
+void PrintTo(const DirectoryMutation& m, std::ostream* os) { *os << m.name; }
+
+const DirectoryMutation kDirectoryMutations[] = {
+    // A host-load chunk re-pointed at the footer itself: its payload
+    // then ends past footer_offset.
+    {"ChunkOffsetAtFooter",
+     [](FooterEdit* f) {
+       f->set(f->entry(SectionId::kHostLoad, ColumnId::kPending) +
+                  FooterEdit::kOffset,
+              f->footer_offset(), 8);
+     },
+     "chunk payload out of bounds", true},
+    {"TasksColumnId200",
+     [](FooterEdit* f) {
+       f->set(f->entry(SectionId::kTasks) + FooterEdit::kColumn, 200, 1);
+     },
+     "does not define", false},
+    {"JobsRowBeginWraps",
+     [](FooterEdit* f) {
+       f->set(f->entry(SectionId::kJobs) + FooterEdit::kRowBegin,
+              ~std::uint64_t{0} - 99, 8);
+     },
+     "chunk rows exceed section size", false},
+    {"EventsOffsetWraps",
+     [](FooterEdit* f) {
+       f->set(f->entry(SectionId::kEvents) + FooterEdit::kOffset,
+              ~std::uint64_t{0} - 7, 8);
+     },
+     "chunk payload out of bounds", true},
+    {"NumSeriesTwoToThe40",
+     [](FooterEdit* f) {
+       f->set(f->num_series(std::string("degraded-test").size()),
+              std::uint64_t{1} << 40, 8);
+     },
+     "series directory runs past the footer", false},
+    {"U8ColumnStampedVarint",
+     [](FooterEdit* f) {
+       f->set(f->entry(SectionId::kEvents, ColumnId::kEventType) +
+                  FooterEdit::kEncoding,
+              static_cast<std::uint8_t>(Encoding::kVarint), 1);
+     },
+     "chunk encoding does not match its column", true},
+    // Moving a tasks chunk into the events section leaves its tasks row
+    // group one column short (tasks groups are checked first).
+    {"TasksGroupMissingColumn",
+     [](FooterEdit* f) {
+       f->set(f->entry(SectionId::kTasks, ColumnId::kJobId),
+              static_cast<std::uint8_t>(SectionId::kEvents), 1);
+     },
+     "tasks row group missing a column", false},
+};
+
+class DirectoryMutationTest
+    : public StoreDegradedTest,
+      public ::testing::WithParamInterface<DirectoryMutation> {};
+
+TEST_P(DirectoryMutationTest, StrictThrowsDegradedNeverCrashes) {
+  const DirectoryMutation& mutation = GetParam();
+  std::vector<ChunkMeta> chunks;
+  {
+    const StoreReader healthy(path_);
+    chunks = healthy.chunks();
+  }
+  FooterEdit edit(bytes_, std::move(chunks));
+  mutation.edit(&edit);
+  spit(path_, edit.sealed());
+
+  try {
+    const StoreReader strict(path_);
+    ADD_FAILURE() << "strict open accepted the mutated directory";
+  } catch (const util::DataError& e) {
+    EXPECT_NE(std::string(e.what()).find(mutation.strict_error),
+              std::string::npos)
+        << e.what();
+  }
+
+  if (!mutation.degraded_opens) {
+    EXPECT_THROW(StoreReader(path_, ReadMode::kDegraded), util::DataError);
+    return;
+  }
   const StoreReader reader(path_, ReadMode::kDegraded);
-  const DamageReport damage = reader.damage();
-  ASSERT_GE(damage.chunks_quarantined(), 1u);
-  EXPECT_NE(damage.chunks[0].reason.find("out of bounds"),
+  const DamageReport at_open = reader.damage();
+  ASSERT_EQ(at_open.chunks_quarantined(), 1u);
+  EXPECT_NE(at_open.chunks[0].reason.find(mutation.strict_error),
             std::string::npos)
-      << damage.chunks[0].reason;
+      << at_open.chunks[0].reason;
   // The rest of the file still loads.
-  EXPECT_NO_THROW(reader.load_trace_set());
+  const TraceSet loaded = reader.load_trace_set();
+  const DamageReport damage = reader.damage();
+  EXPECT_GT(damage.rows_lost + damage.values_defaulted, 0u);
+  EXPECT_EQ(loaded.events().size() + loaded.tasks().size() + damage.rows_lost,
+            kNumEvents + kNumTasks);
+  // A scan drops the same events row groups the load did.
+  std::size_t scanned = 0;
+  reader.scan(EventPredicate{}, [&scanned](std::span<const TaskEvent> batch) {
+    scanned += batch.size();
+  });
+  EXPECT_EQ(scanned, loaded.events().size());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    ResealedFooter, DirectoryMutationTest,
+    ::testing::ValuesIn(kDirectoryMutations),
+    [](const ::testing::TestParamInfo<DirectoryMutation>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace cgc::store
