@@ -9,8 +9,9 @@
 // fails regardless of speed.
 //
 // Results are written as BENCH_plan.json (argv[1], default
-// $CGC_BENCH_OUT/BENCH_plan.json) so the perf trajectory is tracked
-// in-repo.
+// $CGC_BENCH_OUT/BENCH_plan.json), stamped with hardware_concurrency,
+// so the perf trajectory is tracked in-repo. On a one-core box the
+// multi-thread legs prove determinism, not speedup.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -127,6 +128,7 @@ int main(int argc, char** argv) {
   out << "{\n  \"bench\": \"perf_plan\",\n";
   out << "  \"scenarios\": " << matrix.scenarios.size() << ",\n";
   out << "  \"horizon_s\": " << matrix.scenarios[0].horizon << ",\n";
+  out << "  \"hardware_concurrency\": " << hw << ",\n";
   out << "  \"deterministic\": " << (identical ? "true" : "false") << ",\n";
   out << "  \"pass\": " << (pass ? "true" : "false") << ",\n";
   out << "  \"runs\": [\n";

@@ -7,6 +7,8 @@
 #include "sim/cluster_sim.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -56,13 +58,20 @@ struct ClusterSim::Impl {
         mem_task_jitter(cfg.mem_usage_jitter),
         machine_cpu_jitter(cfg.machine_cpu_jitter),
         machine_mem_jitter(cfg.machine_mem_jitter),
-        queue(queue_origin(wl), cfg.horizon - queue_origin(wl)) {
+        queue(queue_origin(wl), cfg.horizon - queue_origin(wl)),
+        probe_mod(machine_list.size()) {  // non-empty: ClusterSim checks
     CGC_CHECK_MSG(!machine_list.empty(), "simulator needs machines");
     CGC_CHECK_MSG(wl.size() <
                       static_cast<std::size_t>(
                           std::numeric_limits<std::uint32_t>::max()),
                   "workload exceeds the 2^32-task slot space");
-    machines.init(machine_list);
+    // The best-effort band may overcommit memory into the evictable
+    // slice; the other bands admit up to the headroom.
+    std::array<double, trace::kNumBands> mem_frac;
+    mem_frac.fill(cfg.mem_admission_headroom);
+    mem_frac[static_cast<std::size_t>(PriorityBand::kLow)] =
+        cfg.mem_overcommit_low_priority;
+    machines.init(machine_list, cfg.cpu_admission_limit, mem_frac);
 
     const std::size_t n = wl.size();
     tasks.resize(n);
@@ -93,15 +102,22 @@ struct ClusterSim::Impl {
     // over the workload sorted by (submit_time, slot). The sort key's
     // slot tie-break reproduces the seed's push order at equal times,
     // and cursor entries drain before any same-time dynamic event (the
-    // cursor's implicit sequence numbers precede all queued ones).
+    // cursor's implicit sequence numbers precede all queued ones). A
+    // workload already in submit order (every generated one) is its own
+    // sorted order.
     order.resize(n);
     std::iota(order.begin(), order.end(), 0U);
-    exec::parallel_sort(&order, [&wl](std::uint32_t a, std::uint32_t b) {
-      if (wl[a].submit_time != wl[b].submit_time) {
-        return wl[a].submit_time < wl[b].submit_time;
-      }
-      return a < b;
-    });
+    if (!std::is_sorted(wl.begin(), wl.end(),
+                        [](const TaskSpec& a, const TaskSpec& b) {
+                          return a.submit_time < b.submit_time;
+                        })) {
+      exec::parallel_sort(&order, [&wl](std::uint32_t a, std::uint32_t b) {
+        if (wl[a].submit_time != wl[b].submit_time) {
+          return wl[a].submit_time < wl[b].submit_time;
+        }
+        return a < b;
+      });
+    }
 
     const std::size_t limit = config.placement_probe_limit;
     if (limit == 0) {
@@ -110,6 +126,7 @@ struct ClusterSim::Impl {
     } else {
       probe_limit = limit >= machines.size() ? 0 : limit;
     }
+    pick = pick_for(config.placement, probe_limit != 0);
   }
 
   /// Earliest time any event can carry: generated workloads submit from
@@ -147,53 +164,33 @@ struct ClusterSim::Impl {
   }
 
   // ---- admission -----------------------------------------------------------
-  /// Memory admission limit fraction: the best-effort band may
-  /// overcommit into the evictable slice.
-  double mem_limit_frac(const TaskStatic& ts) const {
-    return ts.band == static_cast<std::uint8_t>(PriorityBand::kLow)
-               ? config.mem_overcommit_low_priority
-               : config.mem_admission_headroom;
-  }
-
   bool fits(std::size_t m, const TaskStatic& ts) const {
     return (machines.attributes[m] & ts.required_attributes) ==
                ts.required_attributes &&
            machines.cpu_assigned[m] + ts.cpu_request <=
-               config.cpu_admission_limit * machines.cpu_capacity[m] &&
+               machines.cpu_limit[m] &&
            machines.mem_assigned[m] + ts.mem_request <=
-               mem_limit_frac(ts) * machines.mem_capacity[m];
+               machines.mem_limit[ts.band][m];
   }
 
-  /// Relative utilization after hypothetically adding the task.
-  double relative_after(std::size_t m, const TaskStatic& ts) const {
-    const double cpu = (machines.cpu_assigned[m] + ts.cpu_request) /
-                       machines.cpu_capacity[m];
-    const double mem = (machines.mem_assigned[m] + ts.mem_request) /
-                       machines.mem_capacity[m];
-    return std::max(cpu, mem);
-  }
-
-  /// Leftover normalized slack after hypothetically adding the task.
-  double slack_after(std::size_t m, const TaskStatic& ts) const {
-    const double cpu =
-        machines.cpu_capacity[m] - (machines.cpu_assigned[m] + ts.cpu_request);
-    const double mem =
-        machines.mem_capacity[m] - (machines.mem_assigned[m] + ts.mem_request);
-    return cpu + mem;
-  }
-
-  /// Placement score under the active policy; smaller is better (the
+  /// Placement score under a scored policy; smaller is better (the
   /// worst-fit score is negated so one argmin covers all three).
+  template <PlacementPolicy kPolicy>
   double score_of(std::size_t m, const TaskStatic& ts) const {
-    switch (config.placement) {
-      case PlacementPolicy::kBalanced:
-        return relative_after(m, ts);
-      case PlacementPolicy::kBestFit:
-        return slack_after(m, ts);
-      case PlacementPolicy::kWorstFit:
-        return -slack_after(m, ts);
-      default:
-        return 0.0;
+    if constexpr (kPolicy == PlacementPolicy::kBalanced) {
+      // Relative utilization after hypothetically adding the task.
+      const double cpu = (machines.cpu_assigned[m] + ts.cpu_request) /
+                         machines.cpu_capacity[m];
+      const double mem = (machines.mem_assigned[m] + ts.mem_request) /
+                         machines.mem_capacity[m];
+      return std::max(cpu, mem);
+    } else {
+      // Leftover normalized slack after hypothetically adding the task.
+      const double cpu = machines.cpu_capacity[m] -
+                         (machines.cpu_assigned[m] + ts.cpu_request);
+      const double mem = machines.mem_capacity[m] -
+                         (machines.mem_assigned[m] + ts.mem_request);
+      return kPolicy == PlacementPolicy::kBestFit ? cpu + mem : -(cpu + mem);
     }
   }
 
@@ -201,7 +198,7 @@ struct ClusterSim::Impl {
   /// The i-th probe candidate for this placement's hashed probe
   /// sequence (power-of-d-choices over the machine park).
   std::size_t probe_at(std::uint64_t base, std::size_t i) const {
-    return static_cast<std::size_t>(rng::mix(base + i) % machines.size());
+    return static_cast<std::size_t>(probe_mod(rng::mix(base + i)));
   }
 
   /// Hashed base of the probe sequence: stable in (seed, task, pass),
@@ -211,107 +208,73 @@ struct ClusterSim::Impl {
     return rng::hash2(config.seed, rng::kSaltProbe, task, pass_seq);
   }
 
-  /// Exhaustive scan with the seed's exact semantics: the first machine
-  /// achieving a strictly better score wins, so ties resolve to the
-  /// lowest index. Scored policies go through exec::parallel_reduce
-  /// (chunk partials combined in chunk order reproduce the serial
-  /// first-wins rule); first-fit exits early and random gathers the
-  /// fitting set, both serial.
-  int pick_machine_full(std::uint32_t task, const TaskStatic& ts) {
-    const std::size_t m_count = machines.size();
-    if (config.placement == PlacementPolicy::kFirstFit) {
-      for (std::size_t m = 0; m < m_count; ++m) {
-        if (fits(m, ts)) {
-          return static_cast<int>(m);
-        }
-      }
-      return -1;
-    }
-    if (config.placement == PlacementPolicy::kRandom) {
+  /// The one placement scan, specialized per policy and candidate
+  /// order: every machine by index (full scan, the seed's exact
+  /// semantics) or the task's hashed probe sequence. Scored policies
+  /// keep the first candidate with a strictly better score, so full-
+  /// scan ties resolve to the lowest index; first-fit takes the first
+  /// candidate that fits; random draws among all fitting candidates.
+  template <PlacementPolicy kPolicy, bool kProbed>
+  int scan(std::uint32_t task, const TaskStatic& ts) {
+    const std::size_t count = kProbed ? probe_limit : machines.size();
+    const std::uint64_t base = kProbed ? probe_base(task) : 0;
+    if constexpr (kPolicy == PlacementPolicy::kRandom) {
       scratch_fitting.clear();
-      for (std::size_t m = 0; m < m_count; ++m) {
-        if (fits(m, ts)) {
-          scratch_fitting.push_back(static_cast<std::uint32_t>(m));
-        }
-      }
-      if (scratch_fitting.empty()) {
-        return -1;
-      }
-      const std::uint64_t h =
-          rng::hash2(config.seed, rng::kSaltRandomPick, task, pass_seq);
-      return static_cast<int>(scratch_fitting[h % scratch_fitting.size()]);
-    }
-    struct Cand {
-      int machine = -1;
-      double score = 0.0;
-    };
-    const Cand best = exec::parallel_reduce<Cand>(
-        0, m_count, Cand{},
-        [&](std::size_t lo, std::size_t hi) {
-          Cand c;
-          for (std::size_t m = lo; m < hi; ++m) {
-            if (!fits(m, ts)) {
-              continue;
-            }
-            const double s = score_of(m, ts);
-            if (c.machine < 0 || s < c.score) {
-              c.machine = static_cast<int>(m);
-              c.score = s;
-            }
-          }
-          return c;
-        },
-        [](Cand& acc, Cand part) {
-          if (part.machine >= 0 &&
-              (acc.machine < 0 || part.score < acc.score)) {
-            acc = part;
-          }
-        });
-    return best.machine;
-  }
-
-  /// Probed placement: O(probe_limit) hashed candidates instead of
-  /// O(machines). Selection rules mirror the full scan restricted to
-  /// the probe sequence (first strictly better in probe order).
-  int pick_machine_probed(std::uint32_t task, const TaskStatic& ts) {
-    const std::uint64_t base = probe_base(task);
-    if (config.placement == PlacementPolicy::kRandom) {
-      scratch_fitting.clear();
-      for (std::size_t i = 0; i < probe_limit; ++i) {
-        const std::size_t m = probe_at(base, i);
-        if (fits(m, ts)) {
-          scratch_fitting.push_back(static_cast<std::uint32_t>(m));
-        }
-      }
-      if (scratch_fitting.empty()) {
-        return -1;
-      }
-      const std::uint64_t h =
-          rng::hash2(config.seed, rng::kSaltRandomPick, task, pass_seq);
-      return static_cast<int>(scratch_fitting[h % scratch_fitting.size()]);
     }
     int best = -1;
     double best_score = 0.0;
-    for (std::size_t i = 0; i < probe_limit; ++i) {
-      const std::size_t m = probe_at(base, i);
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t m = kProbed ? probe_at(base, i) : i;
       if (!fits(m, ts)) {
         continue;
       }
-      if (config.placement == PlacementPolicy::kFirstFit) {
+      if constexpr (kPolicy == PlacementPolicy::kFirstFit) {
         return static_cast<int>(m);
+      } else if constexpr (kPolicy == PlacementPolicy::kRandom) {
+        scratch_fitting.push_back(static_cast<std::uint32_t>(m));
+      } else {
+        const double s = score_of<kPolicy>(m, ts);
+        if (best < 0 || s < best_score) {
+          best = static_cast<int>(m);
+          best_score = s;
+        }
       }
-      const double s = score_of(m, ts);
-      if (best < 0 || s < best_score) {
-        best = static_cast<int>(m);
-        best_score = s;
+    }
+    if constexpr (kPolicy == PlacementPolicy::kRandom) {
+      if (scratch_fitting.empty()) {
+        return -1;
       }
+      const std::uint64_t h =
+          rng::hash2(config.seed, rng::kSaltRandomPick, task, pass_seq);
+      return static_cast<int>(scratch_fitting[h % scratch_fitting.size()]);
     }
     return best;
   }
 
-  int pick_machine(std::uint32_t task, const TaskStatic& ts) {
-    return probe_limit == 0 ? pick_machine_full(task, ts)
-                            : pick_machine_probed(task, ts);
+  using PickFn = int (Impl::*)(std::uint32_t, const TaskStatic&);
+
+  /// The scan instantiation for a policy and candidate order, chosen
+  /// once per run.
+  static PickFn pick_for(PlacementPolicy policy, bool probed) {
+    switch (policy) {
+      case PlacementPolicy::kBalanced:
+        return probed ? &Impl::scan<PlacementPolicy::kBalanced, true>
+                      : &Impl::scan<PlacementPolicy::kBalanced, false>;
+      case PlacementPolicy::kBestFit:
+        return probed ? &Impl::scan<PlacementPolicy::kBestFit, true>
+                      : &Impl::scan<PlacementPolicy::kBestFit, false>;
+      case PlacementPolicy::kWorstFit:
+        return probed ? &Impl::scan<PlacementPolicy::kWorstFit, true>
+                      : &Impl::scan<PlacementPolicy::kWorstFit, false>;
+      case PlacementPolicy::kFirstFit:
+        return probed ? &Impl::scan<PlacementPolicy::kFirstFit, true>
+                      : &Impl::scan<PlacementPolicy::kFirstFit, false>;
+      case PlacementPolicy::kRandom:
+        return probed ? &Impl::scan<PlacementPolicy::kRandom, true>
+                      : &Impl::scan<PlacementPolicy::kRandom, false>;
+    }
+    CGC_CHECK_MSG(false, "unknown placement policy");
+    return nullptr;
   }
 
   /// Can eviction of strictly-lower-priority tasks make room on m?
@@ -328,10 +291,8 @@ struct ClusterSim::Impl {
         mem -= e.mem_request;
       }
     }
-    return cpu + ts.cpu_request <=
-               config.cpu_admission_limit * machines.cpu_capacity[m] &&
-           mem + ts.mem_request <=
-               mem_limit_frac(ts) * machines.mem_capacity[m];
+    return cpu + ts.cpu_request <= machines.cpu_limit[m] &&
+           mem + ts.mem_request <= machines.mem_limit[ts.band][m];
   }
 
   /// First machine (scan order in full mode, probe order in probed
@@ -508,6 +469,9 @@ struct ClusterSim::Impl {
   /// One scheduler pass: highest priority first, FCFS within a priority.
   /// Unplaceable tasks stay queued (skipped, not blocking — Google tasks
   /// carry per-task constraints, so the real scheduler also skips).
+  /// Only non-empty queues are visited; a pass never enqueues (evictions
+  /// requeue through a later SUBMIT event), so the mask read at its
+  /// start covers it.
   void schedule_pass(TimeSec now) {
     ++pass_seq;
     ++stats.schedule_passes;
@@ -515,7 +479,9 @@ struct ClusterSim::Impl {
       static obs::Counter& c = obs::counter("sim.schedule_passes");
       c.add(1);
     }
-    for (int p = trace::kNumPriorities - 1; p >= 0; --p) {
+    for (std::uint32_t live = pending.occupied; live != 0;) {
+      const int p = std::bit_width(live) - 1;
+      live &= ~(1U << p);
       std::int32_t cur = pending.head[p];
       std::int32_t still_head = -1;
       std::int32_t still_tail = -1;
@@ -533,14 +499,19 @@ struct ClusterSim::Impl {
         const std::int32_t task = cur;
         cur = tasks.next_pending[static_cast<std::size_t>(task)];
         if (failure_streak >= config.max_schedule_failures_per_pass) {
-          // Cluster is effectively full for this priority; keep FIFO
-          // order and retry on the next pass.
-          keep(task);
-          continue;
+          // Cluster is effectively full for this priority: the rest of
+          // the queue stays as linked, in FIFO order, for the next pass.
+          if (still_tail < 0) {
+            still_head = task;
+          } else {
+            tasks.next_pending[static_cast<std::size_t>(still_tail)] = task;
+          }
+          still_tail = pending.tail[p];
+          break;
         }
         const std::uint32_t t = static_cast<std::uint32_t>(task);
         const TaskStatic& ts = tstatic[t];
-        int machine = pick_machine(t, ts);
+        int machine = (this->*pick)(t, ts);
         if (machine < 0 && config.preemption) {
           machine = find_evictable(t, ts);
           if (machine >= 0) {
@@ -556,8 +527,7 @@ struct ClusterSim::Impl {
         --pending.total;
         start_running(now, t, static_cast<std::size_t>(machine));
       }
-      pending.head[p] = still_head;
-      pending.tail[p] = still_tail;
+      pending.reset(p, still_head, still_tail);
     }
   }
 
@@ -829,7 +799,9 @@ struct ClusterSim::Impl {
   std::vector<std::uint32_t> order;
   std::vector<std::uint32_t> scratch_fitting;
   std::vector<std::uint64_t> scratch_victims;
+  rng::FastMod probe_mod;       ///< `% machines.size()` for probe_at
   std::size_t probe_limit = 0;  ///< 0 = full scan
+  PickFn pick = nullptr;        ///< scan<policy, probed> for this run
   std::uint64_t pass_seq = 0;
   bool need_schedule = false;
   trace::TraceSet out;
@@ -871,15 +843,20 @@ trace::TraceSet ClusterSim::run(const Workload& workload,
     impl.out.add_host_load(std::move(s));
   }
 
-  // Materialize per-task records (and count horizon states either way).
+  // Count horizon states over every task (warm-up tasks, submitted
+  // before t=0, included), then materialize per-task records for tasks
+  // first submitted inside the window.
   if (config_.record_tasks) {
     impl.out.reserve_tasks(workload.size());
   }
   for (std::size_t i = 0; i < workload.size(); ++i) {
-    if (impl.tasks.first_submit[i] < 0) {
-      continue;  // never submitted inside the window
+    const auto state = static_cast<trace::TaskState>(impl.tasks.state[i]);
+    if (state == trace::TaskState::kRunning) {
+      ++stats_.running_at_horizon;
+    } else if (state == trace::TaskState::kPending) {
+      ++stats_.never_scheduled;
     }
-    if (config_.record_tasks) {
+    if (config_.record_tasks && impl.tasks.first_submit[i] >= 0) {
       const TaskSpec& spec = workload[i];
       trace::Task t;
       t.job_id = spec.job_id;
@@ -901,12 +878,6 @@ trace::TraceSet ClusterSim::run(const Workload& workload,
       t.cpu_usage = spec.cpu_request * spec.cpu_usage_ratio;
       t.mem_usage = spec.mem_request * spec.mem_usage_ratio;
       impl.out.add_task(t);
-    }
-    const auto state = static_cast<trace::TaskState>(impl.tasks.state[i]);
-    if (state == trace::TaskState::kRunning) {
-      ++stats_.running_at_horizon;
-    } else if (state == trace::TaskState::kPending) {
-      ++stats_.never_scheduled;
     }
   }
 

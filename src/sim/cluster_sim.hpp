@@ -16,12 +16,12 @@
 // tens of millions of task events — see bench_perf_sim / BENCH_sim.json):
 // a calendar event queue (sim/event_queue.hpp), struct-of-arrays state
 // banks (sim/state_banks.hpp), counter-based randomness
-// (sim/sim_rng.hpp), and cgc::exec-sharded sampling and placement
-// scoring. Results are bit-identical at any CGC_THREADS — the same
-// determinism contract as cgc::exec and cgc::stream; DESIGN.md §13 has
-// the argument. Hot-loop metric sites (sim.*) arm via CGC_METRICS, and
-// the deterministic fault sites sim.task_lost / sim.machine_outage arm
-// via CGC_FAULT_SPEC.
+// (sim/sim_rng.hpp), one policy-specialized placement scan, and
+// cgc::exec-sharded sampling. Results are bit-identical at any
+// CGC_THREADS — the same determinism contract as cgc::exec and
+// cgc::stream; DESIGN.md §13 has the argument. Hot-loop metric sites
+// (sim.*) arm via CGC_METRICS, and the deterministic fault sites
+// sim.task_lost / sim.machine_outage arm via CGC_FAULT_SPEC.
 #pragma once
 
 #include <cstdint>
@@ -52,16 +52,19 @@ struct SimStats {
   std::int64_t lost = 0;
   /// Times any task re-entered the pending queue (evictions + retries).
   std::int64_t resubmits = 0;
-  /// Tasks still pending when the horizon closed.
+  /// Tasks still pending when the horizon closed (warm-up tasks, first
+  /// submitted before t=0, included).
   std::int64_t never_scheduled = 0;
-  /// Tasks still running when the horizon closed.
+  /// Tasks still running when the horizon closed (warm-up tasks
+  /// included).
   std::int64_t running_at_horizon = 0;
   /// High-water mark of the global pending-queue depth.
   std::int64_t max_pending_depth = 0;
   /// Queue events processed (submits, requeues, attempt ends) — the
   /// numerator of bench_perf_sim's events/s.
   std::int64_t events_processed = 0;
-  /// Scheduler passes run (each scans the 12 priority FIFOs once).
+  /// Scheduler passes run (each walks the non-empty priority FIFOs
+  /// once, highest priority first).
   std::int64_t schedule_passes = 0;
   /// Fault-site firings (sim.task_lost + sim.machine_outage); 0 unless
   /// CGC_FAULT_SPEC armed a sim.* site.

@@ -107,9 +107,10 @@ struct SimConfig {
   /// small ablation runs); larger clusters are probed at ~96 hashed
   /// candidates (power-of-d-choices) so placement is O(probes), not
   /// O(machines). Any other value forces that many probes; a value >=
-  /// the machine count forces a full scan. Probe sequences are
-  /// counter-hashed from (seed, task, schedule-pass number), so they
-  /// are deterministic at any CGC_THREADS.
+  /// the machine count forces a full scan. Either way placement is one
+  /// serial scan on the event spine. Probe sequences are counter-hashed
+  /// from (seed, task, schedule-pass number), so they are deterministic
+  /// at any CGC_THREADS.
   std::size_t placement_probe_limit = 0;
   /// Record the full task-event stream (disable to save memory on very
   /// large runs). With the counter-based RNG, toggling any record_*

@@ -47,6 +47,35 @@ constexpr std::uint64_t hash2(std::uint64_t seed, std::uint64_t salt,
   return mix(mix(mix(seed ^ salt) ^ k1) ^ k2);
 }
 
+/// Exact `x % d` for a divisor fixed up front: one 128-bit and two
+/// 64x64->128 multiplies instead of a 64-bit divide. This is Lemire,
+/// Kaser & Kurz's direct remainder ("Faster Remainder by Direct
+/// Computation", 2019) with 128 fractional bits, which is exact for
+/// every 64-bit x and every divisor d >= 1.
+class FastMod {
+  __extension__ typedef unsigned __int128 U128;
+
+ public:
+  /// Precomputes ceil(2^128 / d); d must be at least 1 (for d == 1 the
+  /// constant wraps to 0, which yields the correct remainder 0).
+  explicit constexpr FastMod(std::uint64_t d)
+      : d_(d), m_(~U128{0} / d + 1) {}
+
+  /// x % d.
+  constexpr std::uint64_t operator()(std::uint64_t x) const {
+    const U128 frac = m_ * x;  // fractional part of x / d, mod 2^128
+    // High 64 bits of the 192-bit product frac * d; the partial sum
+    // stays below 2^128, so it cannot carry out.
+    const U128 lo = static_cast<U128>(static_cast<std::uint64_t>(frac)) * d_;
+    const U128 hi = (frac >> 64) * d_;
+    return static_cast<std::uint64_t>((hi + (lo >> 64)) >> 64);
+  }
+
+ private:
+  std::uint64_t d_;
+  U128 m_;
+};
+
 /// Uniform double in (0, 1): never exactly 0, so it is safe under log().
 inline double to_unit(std::uint64_t h) {
   return (static_cast<double>(h >> 11) + 0.5) * 0x1.0p-53;

@@ -25,14 +25,16 @@
 //   * PendingQueues — the 12 FCFS priority queues as intrusive singly
 //     linked lists threaded through TaskBank::next_pending: push/pop
 //     are pointer writes into arrays already in cache, replacing the
-//     seed's 12 std::deques and their node churn.
+//     seed's 12 std::deques and their node churn. A bit mask of the
+//     non-empty queues lets a scheduler pass visit only those.
 //
-// All mutation happens on the serial event spine; parallel regions
-// (sampling, placement scoring) only read. Allocation happens once, up
-// front — the steady-state event loop performs no heap traffic except
+// All mutation happens on the serial event spine; the one parallel
+// region (sampling) only reads. Allocation happens once, up front —
+// the steady-state event loop performs no heap traffic except
 // amortized growth of per-machine run lists and calendar buckets.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -171,6 +173,12 @@ struct MachineBank {
   std::vector<double> cpu_assigned;
   /// Sum of memory requests of running tasks.
   std::vector<double> mem_assigned;
+  /// Admission ceiling on cpu_assigned: cpu_admission_limit *
+  /// cpu_capacity, computed once.
+  std::vector<double> cpu_limit;
+  /// Admission ceiling on mem_assigned per priority band (the low band
+  /// may overcommit): band fraction * mem_capacity, computed once.
+  std::array<std::vector<double>, trace::kNumBands> mem_limit;
   /// Machine attribute bits (constraint matching).
   std::vector<std::uint8_t> attributes;
   /// External machine id (trace-facing).
@@ -183,10 +191,13 @@ struct MachineBank {
   std::size_t size() const { return machine_id.size(); }
 
   /// Builds the bank from trace::Machine records (validates capacities,
-  /// like the seed constructor did).
-  void init(const std::vector<trace::Machine>& machines) {
+  /// like the seed constructor did). `cpu_frac` and `mem_frac[band]`
+  /// are the admission fractions of capacity.
+  void init(const std::vector<trace::Machine>& machines, double cpu_frac,
+            const std::array<double, trace::kNumBands>& mem_frac) {
     const std::size_t n = machines.size();
     cpu_capacity.reserve(n);
+    cpu_limit.reserve(n);
     mem_capacity.reserve(n);
     page_cache_capacity.reserve(n);
     attributes.reserve(n);
@@ -199,6 +210,13 @@ struct MachineBank {
       page_cache_capacity.push_back(m.page_cache_capacity);
       attributes.push_back(m.attributes);
       machine_id.push_back(m.machine_id);
+      cpu_limit.push_back(cpu_frac * m.cpu_capacity);
+    }
+    for (std::size_t b = 0; b < trace::kNumBands; ++b) {
+      mem_limit[b].reserve(n);
+      for (const trace::Machine& m : machines) {
+        mem_limit[b].push_back(mem_frac[b] * m.mem_capacity);
+      }
     }
     cpu_assigned.assign(n, 0.0);
     mem_assigned.assign(n, 0.0);
@@ -213,6 +231,8 @@ struct PendingQueues {
   std::int32_t head[trace::kNumPriorities];
   /// Tail task slot per priority; -1 = empty.
   std::int32_t tail[trace::kNumPriorities];
+  /// Bit p set iff queue p is non-empty.
+  std::uint32_t occupied = 0;
   /// Total pending tasks across all priorities.
   std::int64_t total = 0;
 
@@ -233,7 +253,18 @@ struct PendingQueues {
       tasks.next_pending[static_cast<std::size_t>(tail[p])] = task;
       tail[p] = task;
     }
+    occupied |= 1U << p;
     ++total;
+  }
+
+  /// Replaces queue p (0-based) with the list [new_head .. new_tail];
+  /// -1 for both empties it.
+  void reset(int p, std::int32_t new_head, std::int32_t new_tail) {
+    head[p] = new_head;
+    tail[p] = new_tail;
+    if (new_head < 0) {
+      occupied &= ~(1U << p);
+    }
   }
 };
 

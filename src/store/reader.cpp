@@ -433,11 +433,22 @@ void StoreReader::decode_i64(const ChunkMeta& chunk,
                     chunk.encoding == Encoding::kDeltaVarint, out);
 }
 
-void StoreReader::account_loss(std::uint64_t rows_lost,
-                               std::uint64_t values_defaulted) const {
+void StoreReader::account_loss(const RowGroup& g, std::uint32_t bad) const {
+  const auto gi = static_cast<std::size_t>(&g - groups_.data());
   util::MutexLock lock(damage_mutex_);
-  damage_.rows_lost += rows_lost;
-  damage_.values_defaulted += values_defaulted;
+  if (loss_accounted_.empty()) {
+    loss_accounted_.resize(groups_.size(), 0);
+  }
+  std::uint32_t& seen = loss_accounted_[gi];
+  if (g.section == SectionId::kTasks || g.section == SectionId::kEvents) {
+    if (seen == 0) {
+      damage_.rows_lost += g.row_count;
+    }
+  } else {
+    damage_.values_defaulted +=
+        static_cast<std::uint64_t>(std::popcount(bad & ~seen)) * g.row_count;
+  }
+  seen |= bad;
 }
 
 std::uint32_t StoreReader::damaged_columns(const RowGroup& g) const {
@@ -567,14 +578,13 @@ trace::TraceSet StoreReader::load_trace_set() const {
     const std::size_t n = g.row_count;
     const std::uint32_t bad = damaged_columns(g);
     if (bad != 0) {
+      account_loss(g, bad);
       if (g.section == SectionId::kTasks || g.section == SectionId::kEvents) {
-        account_loss(n, 0);
         util::MutexLock lock(lost_mutex);
         (g.section == SectionId::kTasks ? lost_tasks : lost_events)
             .emplace_back(g.row_begin, n);
         return;
       }
-      account_loss(0, static_cast<std::uint64_t>(std::popcount(bad)) * n);
     }
     if (g.section == SectionId::kEvents) {
       decode_events(g, events.data() + g.row_begin);
@@ -753,8 +763,8 @@ ScanStats StoreReader::scan(
   std::atomic<std::size_t> decoded{0};
   exec::parallel_for(0, survivors.size(), [&](std::size_t gi) {
     const RowGroup& g = *survivors[gi];
-    if (damaged_columns(g) != 0) {
-      account_loss(g.row_count, 0);
+    if (const std::uint32_t bad = damaged_columns(g); bad != 0) {
+      account_loss(g, bad);
       return;
     }
     std::vector<trace::TaskEvent> rows(g.row_count);

@@ -134,7 +134,8 @@ class StoreReader {
   ReadMode mode() const { return mode_; }
 
   /// Damage quarantined so far (grows as scans touch damaged chunks;
-  /// a given chunk is recorded once). Empty in strict mode.
+  /// a given chunk, and the rows it costs, is recorded once however
+  /// many loads and scans touch it). Empty in strict mode.
   DamageReport damage() const;
 
   /// Verifies one directory chunk (bounds + CRC, memoized) without
@@ -210,8 +211,11 @@ class StoreReader {
   /// chunks.
   std::string verify_payload(const ChunkMeta& chunk) const;
   void quarantine(const ChunkMeta& chunk, const std::string& reason) const;
-  void account_loss(std::uint64_t rows_lost,
-                    std::uint64_t values_defaulted) const;
+  /// Adds damaged group `g`'s loss to damage_ once per reader: a
+  /// tasks/events group's rows the first time it is dropped, a small-
+  /// section column's rows the first time it is defaulted. `bad` is
+  /// damaged_columns(g).
+  void account_loss(const RowGroup& g, std::uint32_t bad) const;
 
   MmapFile file_;
   ReadMode mode_ = ReadMode::kStrict;
@@ -237,6 +241,10 @@ class StoreReader {
   mutable std::vector<std::atomic<bool>> chunk_bad_;
   mutable util::Mutex damage_mutex_;
   mutable DamageReport damage_ CGC_GUARDED_BY(damage_mutex_);
+  /// Per row group (index into groups_): the damaged columns whose loss
+  /// is already in damage_. Sized on first use.
+  mutable std::vector<std::uint32_t> loss_accounted_
+      CGC_GUARDED_BY(damage_mutex_);
 };
 
 /// Convenience one-shot: open, materialize, close.

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <random>
 
+#include "util/mutex.hpp"
+
 namespace cgc::util {
 
 /// Seedable PRNG wrapper around std::mt19937_64 with convenience draws.
@@ -57,8 +59,18 @@ class Rng {
     return std::bernoulli_distribution(p)(engine_);
   }
 
-  /// Poisson draw with given mean.
+  /// Poisson draw with given mean. For means of 12 and above,
+  /// libstdc++'s Poisson calls std::lgamma, and glibc's lgamma writes
+  /// the process-global `signgam`; one lock keeps those draws on
+  /// different threads (concurrent plan scenarios generate their
+  /// workloads on pool workers) from racing on it. Smaller means take
+  /// the lgamma-free path unlocked. The draws themselves are unchanged.
   std::int64_t poisson(double mean) {
+    if (mean < 12.0) {
+      return std::poisson_distribution<std::int64_t>(mean)(engine_);
+    }
+    static Mutex lgamma_mutex;
+    const MutexLock lock(lgamma_mutex);
     return std::poisson_distribution<std::int64_t>(mean)(engine_);
   }
 

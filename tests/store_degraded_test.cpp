@@ -200,6 +200,39 @@ TEST_F(StoreDegradedTest, ScanSkipsDamagedGroupAndAccounts) {
   EXPECT_EQ(reader.damage().rows_lost, victim.row_count);
 }
 
+TEST_F(StoreDegradedTest, RepeatedReadsAccountEachLossOnce) {
+  const ChunkMeta events_victim = find_chunk(SectionId::kEvents);
+  const ChunkMeta jobs_victim = find_chunk(SectionId::kJobs);
+  ASSERT_EQ(events_victim.row_count, kRowsPerChunk);
+  std::string mutated = bytes_;
+  mutated[events_victim.offset] ^= 0x01;
+  mutated[jobs_victim.offset] ^= 0x01;
+  spit(path_, mutated);
+  const std::string one_read =
+      "2 chunks quarantined, 256 rows lost, " +
+      std::to_string(jobs_victim.row_count) + " values defaulted";
+
+  {
+    const StoreReader reader(path_, ReadMode::kDegraded);
+    reader.load_trace_set();
+    EXPECT_EQ(reader.damage().summary(), one_read);
+  }
+  {
+    const StoreReader reader(path_, ReadMode::kDegraded);
+    reader.load_trace_set();
+    reader.scan(EventPredicate{}, [](std::span<const TaskEvent>) {});
+    EXPECT_EQ(reader.damage().rows_lost, 256u);
+    EXPECT_EQ(reader.damage().summary(), one_read);
+  }
+  {
+    const StoreReader reader(path_, ReadMode::kDegraded);
+    reader.load_trace_set();
+    reader.load_trace_set();
+    EXPECT_EQ(reader.damage().rows_lost, 256u);
+    EXPECT_EQ(reader.damage().values_defaulted, jobs_victim.row_count);
+  }
+}
+
 TEST_F(StoreDegradedTest, SmallSectionDamageZeroFillsNotDrops) {
   const ChunkMeta victim = find_chunk(SectionId::kJobs);
   corrupt_payload_byte(victim.offset);
@@ -475,6 +508,8 @@ TEST_P(DirectoryMutationTest, StrictThrowsDegradedNeverCrashes) {
     scanned += batch.size();
   });
   EXPECT_EQ(scanned, loaded.events().size());
+  // ... and accounts none of them a second time.
+  EXPECT_EQ(reader.damage().summary(), damage.summary());
 }
 
 INSTANTIATE_TEST_SUITE_P(
