@@ -2,6 +2,10 @@
 // machine, preemption, fates, resubmission, and capacity invariants.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <map>
+#include <utility>
+
 #include "sim/cluster_sim.hpp"
 #include "trace/validate.hpp"
 #include "util/check.hpp"
@@ -311,6 +315,129 @@ TEST(ClusterSim, DeterministicAcrossRuns) {
   for (std::size_t i = 0; i < h1->size(); ++i) {
     EXPECT_FLOAT_EQ(h1->cpu_total(i), h2->cpu_total(i));
   }
+}
+
+/// The job fold ClusterSim::run is specified by: tasks visited in
+/// workload slot order, folded into a std::map keyed by job id.
+std::map<std::int64_t, trace::Job> reference_jobs(
+    const Workload& workload, const trace::TraceSet& out) {
+  std::map<std::pair<std::int64_t, std::int32_t>, trace::Task> by_key;
+  for (const trace::Task& t : out.tasks()) {
+    by_key[{t.job_id, t.task_index}] = t;
+  }
+  std::map<std::int64_t, trace::Job> jobs;
+  std::map<std::int64_t, double> cpu_seconds;
+  for (const TaskSpec& spec : workload) {
+    const auto found = by_key.find({spec.job_id, spec.task_index});
+    if (found == by_key.end()) {
+      continue;  // warm-up task: not materialized
+    }
+    const trace::Task& t = found->second;
+    auto [it, inserted] = jobs.try_emplace(t.job_id);
+    trace::Job& j = it->second;
+    if (inserted) {
+      j.job_id = t.job_id;
+      j.priority = t.priority;
+      j.submit_time = t.submit_time;
+      j.end_time = t.end_time;
+      j.num_tasks = 1;
+      j.mem_usage = t.mem_usage;
+    } else {
+      j.submit_time = std::min(j.submit_time, t.submit_time);
+      if (j.end_time >= 0) {
+        j.end_time = t.end_time < 0 ? -1 : std::max(j.end_time, t.end_time);
+      }
+      ++j.num_tasks;
+      j.mem_usage += t.mem_usage;
+    }
+    cpu_seconds[t.job_id] += static_cast<double>(t.run_duration());
+  }
+  for (auto& [id, job] : jobs) {
+    const trace::TimeSec length = job.length();
+    job.cpu_parallelism =
+        length > 0 ? static_cast<float>(cpu_seconds[id] /
+                                        static_cast<double>(length))
+                   : 1.0f;
+  }
+  return jobs;
+}
+
+void expect_jobs_match_reference(const Workload& workload) {
+  SimConfig config;
+  config.horizon = 3 * util::kSecondsPerHour;
+  config.seed = 17;
+  std::vector<Machine> machines;
+  for (int i = 0; i < 3; ++i) {
+    Machine m;
+    m.machine_id = 10 + i;
+    m.cpu_capacity = 0.5f;
+    m.mem_capacity = 0.5f;
+    machines.push_back(m);
+  }
+  ClusterSim sim(machines, config);
+  const trace::TraceSet out = sim.run(workload);
+  const auto expected = reference_jobs(workload, out);
+  ASSERT_EQ(out.jobs().size(), expected.size());
+  bool unfinished = false;
+  for (const trace::Job& j : out.jobs()) {
+    SCOPED_TRACE("job " + std::to_string(j.job_id));
+    const auto it = expected.find(j.job_id);
+    ASSERT_NE(it, expected.end());
+    const trace::Job& e = it->second;
+    EXPECT_EQ(j.priority, e.priority);
+    EXPECT_EQ(j.submit_time, e.submit_time);
+    EXPECT_EQ(j.end_time, e.end_time);
+    EXPECT_EQ(j.num_tasks, e.num_tasks);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(j.cpu_parallelism),
+              std::bit_cast<std::uint32_t>(e.cpu_parallelism));
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(j.mem_usage),
+              std::bit_cast<std::uint32_t>(e.mem_usage));
+    unfinished = unfinished || j.end_time < 0;
+  }
+  EXPECT_TRUE(unfinished) << "workload must leave a job open at the horizon";
+  // Jobs come out in (submit, job id) order.
+  for (std::size_t i = 1; i < out.jobs().size(); ++i) {
+    const trace::Job& a = out.jobs()[i - 1];
+    const trace::Job& b = out.jobs()[i];
+    EXPECT_TRUE(a.submit_time < b.submit_time ||
+                (a.submit_time == b.submit_time && a.job_id < b.job_id));
+  }
+}
+
+/// 90 tasks over 9 jobs with ids out of slot order, each job's tasks
+/// scattered through the workload (slot i belongs to job kIds[i % 9]),
+/// task indices descending in slot order, and memory usages whose float
+/// sum depends on the fold order. Two tasks are warm-up submits and
+/// every tenth runs past the horizon.
+Workload interleaved_jobs_workload() {
+  constexpr std::int64_t kIds[] = {907, 3, 51, -4, 700, 12, 3000, 8, 64};
+  Workload workload;
+  for (int i = 0; i < 90; ++i) {
+    const util::TimeSec submit = (i * 37) % 600 - (i < 2 ? 900 : 0);
+    const util::TimeSec duration = i % 10 == 5 ? 20000 : 300 + (i * 53) % 4000;
+    TaskSpec spec = simple_task(kIds[i % 9], submit, duration);
+    spec.task_index = 100 - i / 9;
+    spec.priority = static_cast<std::uint8_t>(1 + (i * 5) % 12);
+    spec.cpu_request = 0.03f + 0.01f * static_cast<float>(i % 4);
+    spec.mem_request = 0.01f * static_cast<float>(1 + i % 7) + 1e-4f * i;
+    spec.mem_usage_ratio = 0.3f + 0.0071f * static_cast<float>(i % 11);
+    workload.push_back(spec);
+  }
+  return workload;
+}
+
+TEST(ClusterSim, JobAggregationMatchesReferenceOnInterleavedJobs) {
+  expect_jobs_match_reference(interleaved_jobs_workload());
+}
+
+TEST(ClusterSim, JobAggregationMatchesReferenceOnGroupedDescendingIds) {
+  // Each job's tasks contiguous, job ids descending in slot order.
+  Workload workload = interleaved_jobs_workload();
+  std::stable_sort(workload.begin(), workload.end(),
+                   [](const TaskSpec& a, const TaskSpec& b) {
+                     return a.job_id > b.job_id;
+                   });
+  expect_jobs_match_reference(workload);
 }
 
 /// Placement policy sweep: each policy schedules everything on an
