@@ -16,6 +16,7 @@
 #include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
+#include "util/sorted_runs.hpp"
 
 namespace cgc::plan {
 
@@ -41,37 +42,6 @@ std::uint8_t remap_priority(PriorityRemap remap, std::uint8_t priority) {
       return static_cast<std::uint8_t>(13 - priority);
   }
   return priority;
-}
-
-/// Sorts `w` by `less` by merging its ascending runs pairwise, in
-/// O(n log runs). Each generator emits its part in near submit order,
-/// so a scenario's workload is a handful of runs. (submit, job, task)
-/// keys are unique (job ids are offset per component), so the result
-/// is the one order any sort would produce.
-template <typename Less>
-void merge_sorted_runs(sim::Workload* w, Less less) {
-  std::vector<std::size_t> bounds = {0};
-  for (std::size_t i = 1; i < w->size(); ++i) {
-    if (less((*w)[i], (*w)[i - 1])) {
-      bounds.push_back(i);
-    }
-  }
-  bounds.push_back(w->size());
-  const auto at = [w](std::size_t i) {
-    return w->begin() + static_cast<std::ptrdiff_t>(i);
-  };
-  while (bounds.size() > 2) {
-    std::vector<std::size_t> merged = {0};
-    for (std::size_t k = 2; k < bounds.size(); k += 2) {
-      std::inplace_merge(at(bounds[k - 2]), at(bounds[k - 1]), at(bounds[k]),
-                         less);
-      merged.push_back(bounds[k]);
-    }
-    if (bounds.size() % 2 == 0) {
-      merged.push_back(bounds.back());  // odd run count: last run waits
-    }
-    bounds = std::move(merged);
-  }
 }
 
 }  // namespace
@@ -159,7 +129,10 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     }
     return a.task_index < b.task_index;
   };
-  merge_sorted_runs(&workload, submit_order);
+  // Each generator emits its part in near submit order, so the workload
+  // is a handful of ascending runs; (submit, job, task) keys are unique
+  // (job ids are offset per component).
+  util::merge_sorted_runs(&workload, submit_order);
 
   // Fast path: planning reads host-load samples and SimStats only.
   sim_config.horizon = spec.horizon;

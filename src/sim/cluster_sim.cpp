@@ -12,7 +12,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <map>
 #include <utility>
 
 #include "exec/parallel.hpp"
@@ -22,6 +21,7 @@
 #include "sim/sim_rng.hpp"
 #include "sim/state_banks.hpp"
 #include "util/check.hpp"
+#include "util/sorted_runs.hpp"
 
 namespace cgc::sim {
 
@@ -44,6 +44,60 @@ constexpr std::size_t kAutoProbes = 96;
 /// below 2^20). Documented in README's fault-site table.
 std::uint64_t outage_key(std::size_t machine, std::uint64_t sample_idx) {
   return (static_cast<std::uint64_t>(machine) << 20) + sample_idx;
+}
+
+/// Folds task records (in workload slot order) into one Job per job id,
+/// in ascending id order. Each job folds its tasks in slot order, so
+/// the float sums (mem_usage, the cpu seconds behind cpu_parallelism)
+/// are one fixed sequence of additions. Generated workloads number jobs
+/// in slot order, so the records are already grouped; otherwise a
+/// stable sort of the record indices by job id groups them.
+std::vector<trace::Job> aggregate_jobs(const std::vector<trace::Task>& tasks) {
+  std::vector<std::uint32_t> by_job;  // empty: records already grouped
+  if (!std::is_sorted(tasks.begin(), tasks.end(),
+                      [](const trace::Task& a, const trace::Task& b) {
+                        return a.job_id < b.job_id;
+                      })) {
+    by_job.resize(tasks.size());
+    std::iota(by_job.begin(), by_job.end(), 0U);
+    std::stable_sort(by_job.begin(), by_job.end(),
+                     [&tasks](std::uint32_t a, std::uint32_t b) {
+                       return tasks[a].job_id < tasks[b].job_id;
+                     });
+  }
+  const auto task_at = [&](std::size_t k) -> const trace::Task& {
+    return by_job.empty() ? tasks[k] : tasks[by_job[k]];
+  };
+  std::vector<trace::Job> jobs;
+  for (std::size_t k = 0; k < tasks.size();) {
+    const trace::Task& first = task_at(k);
+    trace::Job& j = jobs.emplace_back();
+    j.job_id = first.job_id;
+    j.priority = first.priority;
+    j.submit_time = first.submit_time;
+    j.end_time = first.end_time;
+    j.num_tasks = 1;
+    j.mem_usage = first.mem_usage;
+    double cpu_seconds = static_cast<double>(first.run_duration());
+    for (++k; k < tasks.size() && task_at(k).job_id == j.job_id; ++k) {
+      const trace::Task& t = task_at(k);
+      j.submit_time = std::min(j.submit_time, t.submit_time);
+      if (j.end_time >= 0) {
+        j.end_time = t.end_time < 0 ? -1 : std::max(j.end_time, t.end_time);
+      }
+      ++j.num_tasks;
+      j.mem_usage += t.mem_usage;
+      cpu_seconds += static_cast<double>(t.run_duration());
+    }
+    // Formula (4): one processor-equivalent per task; parallelism is
+    // the mean number of concurrently running tasks.
+    const trace::TimeSec length = j.length();
+    j.cpu_parallelism =
+        length > 0
+            ? static_cast<float>(cpu_seconds / static_cast<double>(length))
+            : 1.0f;
+  }
+  return jobs;
 }
 
 }  // namespace
@@ -103,21 +157,18 @@ struct ClusterSim::Impl {
     // slot tie-break reproduces the seed's push order at equal times,
     // and cursor entries drain before any same-time dynamic event (the
     // cursor's implicit sequence numbers precede all queued ones). A
-    // workload already in submit order (every generated one) is its own
-    // sorted order.
+    // generated workload is one or two ascending submit-time runs (the
+    // Google model: main stream, then scavenger backfill), so merging
+    // the runs replaces a sort; the key is unique, so the order is the
+    // one any sort gives.
     order.resize(n);
     std::iota(order.begin(), order.end(), 0U);
-    if (!std::is_sorted(wl.begin(), wl.end(),
-                        [](const TaskSpec& a, const TaskSpec& b) {
-                          return a.submit_time < b.submit_time;
-                        })) {
-      exec::parallel_sort(&order, [&wl](std::uint32_t a, std::uint32_t b) {
-        if (wl[a].submit_time != wl[b].submit_time) {
-          return wl[a].submit_time < wl[b].submit_time;
-        }
-        return a < b;
-      });
-    }
+    util::merge_sorted_runs(&order, [&wl](std::uint32_t a, std::uint32_t b) {
+      if (wl[a].submit_time != wl[b].submit_time) {
+        return wl[a].submit_time < wl[b].submit_time;
+      }
+      return a < b;
+    });
 
     const std::size_t limit = config.placement_probe_limit;
     if (limit == 0) {
@@ -153,14 +204,8 @@ struct ClusterSim::Impl {
       return;
     }
     const TaskSpec& spec = workload[task];
-    trace::TaskEvent e;
-    e.time = time;
-    e.job_id = spec.job_id;
-    e.task_index = spec.task_index;
-    e.machine_id = machine_id;
-    e.type = type;
-    e.priority = spec.priority;
-    out.add_event(e);
+    events.push_back({time, spec.job_id, spec.task_index, machine_id, type,
+                      spec.priority});
   }
 
   // ---- admission -----------------------------------------------------------
@@ -804,7 +849,7 @@ struct ClusterSim::Impl {
   PickFn pick = nullptr;        ///< scan<policy, probed> for this run
   std::uint64_t pass_seq = 0;
   bool need_schedule = false;
-  trace::TraceSet out;
+  std::vector<trace::TaskEvent> events;  ///< the recorded event stream
 };
 
 ClusterSim::ClusterSim(std::vector<trace::Machine> machines, SimConfig config)
@@ -820,16 +865,11 @@ trace::TraceSet ClusterSim::run(const Workload& workload,
   CGC_CHECK_MSG(config_.sample_period > 0, "sample period must be positive");
 
   Impl impl(machines_, config_, workload, &stats_);
-  impl.out.set_system_name(system_name);
-  impl.out.set_duration(config_.horizon);
   if (config_.record_events) {
-    impl.out.reserve_events(workload.size() * 3);
+    impl.events.reserve(workload.size() * 3);
   }
 
   std::vector<trace::HostLoadSeries> series;
-  for (const trace::Machine& m : machines_) {
-    impl.out.add_machine(m);
-  }
   if (config_.record_host_load) {
     series.reserve(machines_.size());
     for (const trace::Machine& m : machines_) {
@@ -839,15 +879,12 @@ trace::TraceSet ClusterSim::run(const Workload& workload,
 
   impl.run_loop(&series);
 
-  for (trace::HostLoadSeries& s : series) {
-    impl.out.add_host_load(std::move(s));
-  }
-
   // Count horizon states over every task (warm-up tasks, submitted
   // before t=0, included), then materialize per-task records for tasks
   // first submitted inside the window.
+  std::vector<trace::Task> tasks;
   if (config_.record_tasks) {
-    impl.out.reserve_tasks(workload.size());
+    tasks.reserve(workload.size());
   }
   for (std::size_t i = 0; i < workload.size(); ++i) {
     const auto state = static_cast<trace::TaskState>(impl.tasks.state[i]);
@@ -858,7 +895,7 @@ trace::TraceSet ClusterSim::run(const Workload& workload,
     }
     if (config_.record_tasks && impl.tasks.first_submit[i] >= 0) {
       const TaskSpec& spec = workload[i];
-      trace::Task t;
+      trace::Task& t = tasks.emplace_back();
       t.job_id = spec.job_id;
       t.task_index = spec.task_index;
       t.priority = spec.priority;
@@ -877,50 +914,18 @@ trace::TraceSet ClusterSim::run(const Workload& workload,
       t.mem_request = spec.mem_request;
       t.cpu_usage = spec.cpu_request * spec.cpu_usage_ratio;
       t.mem_usage = spec.mem_request * spec.mem_usage_ratio;
-      impl.out.add_task(t);
     }
   }
 
-  // Aggregate jobs from tasks.
-  if (config_.record_tasks) {
-    // Ordered by job id: the emission loop below feeds add_job()
-    // directly, so iteration order reaches the output arrays.
-    std::map<std::int64_t, trace::Job> jobs;
-    std::map<std::int64_t, double> job_cpu_seconds;
-    for (const trace::Task& t : impl.out.tasks()) {
-      auto [it, inserted] = jobs.try_emplace(t.job_id);
-      trace::Job& j = it->second;
-      if (inserted) {
-        j.job_id = t.job_id;
-        j.priority = t.priority;
-        j.submit_time = t.submit_time;
-        j.end_time = t.end_time;
-        j.num_tasks = 1;
-        j.mem_usage = t.mem_usage;
-      } else {
-        j.submit_time = std::min(j.submit_time, t.submit_time);
-        if (j.end_time >= 0) {
-          j.end_time = t.end_time < 0 ? -1 : std::max(j.end_time, t.end_time);
-        }
-        ++j.num_tasks;
-        j.mem_usage += t.mem_usage;
-      }
-      job_cpu_seconds[t.job_id] += static_cast<double>(t.run_duration());
-    }
-    for (auto& [id, job] : jobs) {
-      // Formula (4): one processor-equivalent per task; parallelism is
-      // the mean number of concurrently running tasks.
-      const trace::TimeSec length = job.length();
-      job.cpu_parallelism =
-          length > 0 ? static_cast<float>(job_cpu_seconds[id] /
-                                          static_cast<double>(length))
-                     : 1.0f;
-      impl.out.add_job(job);
-    }
-  }
-
-  impl.out.finalize();
-  return std::move(impl.out);
+  trace::TraceSet out(system_name);
+  out.set_duration(config_.horizon);
+  out.adopt_machines(machines_);
+  out.adopt_host_load(std::move(series));
+  out.adopt_events(std::move(impl.events));
+  out.adopt_jobs(aggregate_jobs(tasks));
+  out.adopt_tasks(std::move(tasks));
+  out.finalize();
+  return out;
 }
 
 std::string_view placement_name(PlacementPolicy policy) {

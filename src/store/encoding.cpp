@@ -69,12 +69,15 @@ void decode_i64_column(std::span<const std::uint8_t> bytes, std::size_t count,
 
 namespace {
 
-/// Slicing-by-8 tables: table[0] is the classic byte-at-a-time table,
-/// table[k] advances a byte through k further zero bytes. Processing 8
-/// input bytes per iteration is ~5x faster than the byte loop, which
-/// matters because every chunk is CRC-checked on first access.
-std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
-  std::array<std::array<std::uint32_t, 256>, 8> tables{};
+/// Slicing-by-16 tables: table[0] is the classic byte-at-a-time table,
+/// table[k] advances a byte through k further zero bytes. Folding 16
+/// input bytes per iteration into 16 independent lookups keeps the
+/// loop-carried dependency to one xor chain per block, which matters
+/// because every chunk is CRC-checked on first access.
+constexpr std::size_t kSlices = 16;
+
+std::array<std::array<std::uint32_t, 256>, kSlices> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, kSlices> tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
@@ -82,7 +85,7 @@ std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
     }
     tables[0][i] = c;
   }
-  for (std::size_t k = 1; k < 8; ++k) {
+  for (std::size_t k = 1; k < kSlices; ++k) {
     for (std::uint32_t i = 0; i < 256; ++i) {
       const std::uint32_t prev = tables[k - 1][i];
       tables[k][i] = tables[0][prev & 0xFF] ^ (prev >> 8);
@@ -99,15 +102,21 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
   std::uint32_t c = 0xFFFFFFFFu;
   const std::uint8_t* p = bytes.data();
   std::size_t n = bytes.size();
-  while (n >= 8) {
-    std::uint64_t w;
-    std::memcpy(&w, p, 8);  // little-endian host (asserted in writer.cpp)
-    w ^= c;
-    c = t[7][w & 0xFF] ^ t[6][(w >> 8) & 0xFF] ^ t[5][(w >> 16) & 0xFF] ^
-        t[4][(w >> 24) & 0xFF] ^ t[3][(w >> 32) & 0xFF] ^
-        t[2][(w >> 40) & 0xFF] ^ t[1][(w >> 48) & 0xFF] ^ t[0][w >> 56];
-    p += 8;
-    n -= 8;
+  while (n >= kSlices) {
+    std::uint64_t lo;
+    std::uint64_t hi;
+    std::memcpy(&lo, p, 8);  // little-endian host (asserted in writer.cpp)
+    std::memcpy(&hi, p + 8, 8);
+    lo ^= c;
+    c = t[15][lo & 0xFF] ^ t[14][(lo >> 8) & 0xFF] ^
+        t[13][(lo >> 16) & 0xFF] ^ t[12][(lo >> 24) & 0xFF] ^
+        t[11][(lo >> 32) & 0xFF] ^ t[10][(lo >> 40) & 0xFF] ^
+        t[9][(lo >> 48) & 0xFF] ^ t[8][lo >> 56] ^ t[7][hi & 0xFF] ^
+        t[6][(hi >> 8) & 0xFF] ^ t[5][(hi >> 16) & 0xFF] ^
+        t[4][(hi >> 24) & 0xFF] ^ t[3][(hi >> 32) & 0xFF] ^
+        t[2][(hi >> 40) & 0xFF] ^ t[1][(hi >> 48) & 0xFF] ^ t[0][hi >> 56];
+    p += kSlices;
+    n -= kSlices;
   }
   for (; n > 0; --n) {
     c = t[0][(c ^ *p++) & 0xFF] ^ (c >> 8);

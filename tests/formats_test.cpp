@@ -2,6 +2,7 @@
 // trace formats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -100,8 +101,15 @@ TEST_F(FormatsTest, GoogleTraceRoundTrip) {
 
   // Jobs aggregated from tasks.
   ASSERT_EQ(loaded.jobs().size(), 2u);
-  EXPECT_EQ(loaded.job_by_id(1)->priority, 2);
-  EXPECT_EQ(loaded.job_by_id(2)->priority, 11);
+  const auto priority_of = [&loaded](std::int64_t job_id) {
+    const auto jobs = loaded.jobs();
+    const auto it =
+        std::find_if(jobs.begin(), jobs.end(),
+                     [&](const Job& j) { return j.job_id == job_id; });
+    return it == jobs.end() ? -1 : static_cast<int>(it->priority);
+  };
+  EXPECT_EQ(priority_of(1), 2);
+  EXPECT_EQ(priority_of(2), 11);
 
   // Host load restored.
   ASSERT_NE(loaded.host_load_for(3), nullptr);
